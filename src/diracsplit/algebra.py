@@ -1,11 +1,24 @@
-"""Spin matrix constants and closed-form matrix exponentials.
+"""Spin matrix constants and the closed-form spin exponential.
 
-The propagator factors of the solver are exponentials of matrices of the
-form -i*v0*I - i*(b . sigma) (two components) or
--i*v0*I + i*(a . alpha) - i*b*beta (four components).  Both square to a
-multiple of the identity plus a scalar shift, so the exponential reduces
-to a cosine/sine pair.  ``exp_dense`` is a generic scaling-and-squaring
-exponential kept as an independent cross-check for the closed forms.
+Every factor of the split schemes is, per grid point or Fourier mode,
+exp(s G) with G = -i v0 I - i (b . S) - i bm B, where S_j = sigma_j,
+B = sigma_3 for two components and S_j = alpha_j, B = beta for four.
+The traceless part squares to r^2 I (r^2 = |b|^2 + bm^2, or
+b1^2 + b2^2 + (b3 + bm)^2 for two components, where sigma_3 is both S_3
+and B), so exp(s G) = exp(-i s v0) (cos(s r) - i s sinc(s r) (b.S + bm B)).
+``spin_exp_entries`` evaluates this one closed form and
+``spin_exp_apply`` multiplies it into (..., ncomp) data.  The factors
+differ only in their coefficients:
+
+    factor                        v0    b               bm
+    kinetic exp(s T), mode mu     0     c mu            m c^2
+    potential exp(s W(t))         e V   -e A            0
+    compact exp(s W_c), 1D        e V   (-e A_1, 0, 0)  tau^2 e^2 m c^2 A_1^2/12
+
+with W_c = W + tau^2/48 [W,[T,W]], the compact factor of ``s4c``.
+``exp_pauli_affine`` and ``exp_dirac_affine`` are 0-d calls of the kernel
+applied to the identity.  ``exp_dense`` is a generic scaling-and-squaring
+exponential kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -83,48 +96,76 @@ def exp_dense(mat, s=1.0):
 
 def _sinc(x):
     """sin(x)/x, series branch near zero so the limit is exact."""
-    x = np.asarray(x, dtype=np.float64)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
-    if out.ndim == 0:
-        return float(out)
+    return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+
+
+def spin_exp_entries(v0, b1, b2, b3, bm, s, ncomp):
+    """Distinct entries (dl, du, km, kp[, kz]) of exp(s G), phase folded in.
+
+    The coefficients are real scalars or mutually broadcastable arrays;
+    the entries have their broadcast shape.  ``spin_exp_apply`` gives
+    their placement in the 2x2 or 4x4 matrix.
+    """
+    if ncomp == 2:
+        diag, bz = b3 + bm, 0.0  # sigma_3 is both S_3 and B
+    else:
+        diag, bz = bm, b3
+    sr = np.sqrt(b1 * b1 + b2 * b2 + bz * bz + diag * diag)
+    sr *= s
+    cosv = np.cos(sr)
+    f = (-1j * s) * _sinc(sr)
+    # g holds the phase p, then p f.  p and the real intermediates are
+    # released before the last entries are allocated: fewer full-grid
+    # temporaries stay alive and fewer holes are left in the heap
+    g = np.exp((-1j * s) * v0)
+    dl = g * (cosv + f * diag)
+    du = g * (cosv - f * diag)
+    g = g * f
+    del sr, cosv, f
+    km = g * (b1 - 1j * b2)
+    kz = () if ncomp == 2 else (g * b3,)
+    g *= b1 + 1j * b2
+    return (dl, du, km, g) + kz
+
+
+def spin_exp_apply(entries, data):
+    """Multiply the entries of ``spin_exp_entries`` into (..., ncomp) data.
+
+    The entries broadcast against data.shape[:-1].  Two components:
+    [[dl, km], [kp, du]].  Four components:
+    [[dl, 0, kz, km], [0, dl, kp, -kz], [kz, km, du, 0], [kp, -kz, 0, du]].
+    """
+    out = np.empty(data.shape, dtype=np.complex128)
+    if len(entries) == 4:
+        dl, du, km, kp = entries
+        out[..., 0] = dl * data[..., 0] + km * data[..., 1]
+        out[..., 1] = kp * data[..., 0] + du * data[..., 1]
+    else:
+        dl, du, km, kp, kz = entries
+        out[..., 0] = dl * data[..., 0] + kz * data[..., 2] + km * data[..., 3]
+        out[..., 1] = dl * data[..., 1] + kp * data[..., 2] - kz * data[..., 3]
+        out[..., 2] = du * data[..., 2] + kz * data[..., 0] + km * data[..., 1]
+        out[..., 3] = du * data[..., 3] + kp * data[..., 0] - kz * data[..., 1]
     return out
 
 
 def exp_pauli_affine(v0, b, s):
     """exp(s * (-i*v0*I - i*(b . sigma))) as a 2x2 matrix.
 
-    v0 is real, b a real 3-vector.  With r = |b| the result is
-    exp(-i*s*v0) * (cos(s*r) I - i*sin(s*r)/r * (b . sigma)).
+    v0 is real, b a real 3-vector: the spin exponential with bm = 0.
     """
     b1, b2, b3 = (float(v) for v in b)
-    r = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    phase = np.exp(-1j * s * float(v0))
-    c = np.cos(s * r)
-    f = -1j * s * _sinc(s * r)
-    return phase * np.array(
-        [[c + f * b3, f * (b1 - 1j * b2)], [f * (b1 + 1j * b2), c - f * b3]],
-        dtype=np.complex128,
-    )
+    entries = spin_exp_entries(float(v0), b1, b2, b3, 0.0, s, 2)
+    return spin_exp_apply(entries, _I2).T
 
 
 def exp_dirac_affine(v0, a, bcoef, s):
     """exp(s * (-i*v0*I + i*(a . alpha) - i*bcoef*beta)) as a 4x4 matrix.
 
-    a . alpha and bcoef*beta anticommute, so the traceless part squares
-    to (|a|^2 + bcoef^2) I and the same cosine/sine reduction applies.
+    The spin exponential with b = -a and bm = bcoef.
     """
     a1, a2, a3 = (float(v) for v in a)
-    bcoef = float(bcoef)
-    r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + bcoef * bcoef)
-    phase = np.exp(-1j * s * float(v0))
-    c = np.cos(s * r)
-    f = s * _sinc(s * r)
-    sig = a1 * _SIGMA[0] + a2 * _SIGMA[1] + a3 * _SIGMA[2]
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = (c - 1j * f * bcoef) * _I2
-    out[2:, 2:] = (c + 1j * f * bcoef) * _I2
-    out[:2, 2:] = 1j * f * sig
-    out[2:, :2] = 1j * f * sig
-    return phase * out
+    entries = spin_exp_entries(float(v0), -a1, -a2, -a3, float(bcoef), s, 4)
+    return spin_exp_apply(entries, _I4).T

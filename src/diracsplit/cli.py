@@ -25,7 +25,7 @@ from .experiments import (ConvergenceSetup, convergence_study, klein_initial,
                           klein_transmission_analytic, transmitted_fraction)
 from .fields import SpinorField, mass
 from .grids import PeriodicGrid, from_modes
-from .integrators import KINETIC, SCHEMES, builtin_plan, evolve
+from .integrators import KINETIC, SCHEMES, builtin_plan, evolve, step_count
 from .potentials import (CustomPotential, Honeycomb2D, KleinStep,
                          TimeDependent1D, ZeroPotential)
 from .propagators import commutator_bruteforce, commutator_coefficients
@@ -189,10 +189,11 @@ def loads_config(text):
     cfg.t_max = raw.take("time.t_max", _parse_float, 1.0)
     if cfg.t_max <= cfg.t0:
         raise ConfigError("time.t_max must exceed time.t0")
-    ratio = (cfg.t_max - cfg.t0) / cfg.tau
-    if abs(ratio - round(ratio)) > 2.0**-33 * max(1.0, ratio):
+    try:
+        step_count(cfg.t0, cfg.t_max, cfg.tau)
+    except ValueError as exc:
         raise ConfigError(
-            f"(time.t_max - time.t0)/time.tau = {ratio!r} is not an integer")
+            f"time.tau must divide time.t_max - time.t0: {exc}") from None
 
     cfg.c = raw.take("constants.c", _parse_float, 1.0)
     cfg.m = raw.take("constants.m", _parse_float, 1.0)
@@ -388,7 +389,7 @@ def cmd_run(args, stdout):
     model = build_model(cfg)
     plan = builtin_plan(cfg.scheme)
     field = build_initial(cfg, grid)
-    n_steps = round((cfg.t_max - cfg.t0) / cfg.tau)
+    n_steps = step_count(cfg.t0, cfg.t_max, cfg.tau)
     stride = cfg.stride if cfg.stride > 0 else n_steps
     snapshots = []
 

@@ -166,22 +166,31 @@ def step(field, t, tau, plan, model):
     return field
 
 
-def evolve(field, t0, t_max, tau, plan, model, observer=None, stride=1):
-    """March from t0 to t_max in steps of tau.
+def step_count(t0, t_max, tau):
+    """Number of steps of size tau from t0 to t_max.
 
-    (t_max - t0)/tau must be an integer up to roundoff.  The observer,
-    when given, is called as observer(n, t_n, field) at n = 0, every
-    ``stride`` steps, and at the final step.
+    Raises ValueError unless (t_max - t0)/tau is a positive integer up to
+    roundoff.
     """
     if tau <= 0:
         raise ValueError(f"step size must be positive, got {tau}")
-    span = t_max - t0
-    ratio = span / tau
+    ratio = (t_max - t0) / tau
     n_steps = round(ratio)
     if n_steps < 1 or abs(ratio - n_steps) > 2.0**-33 * max(1.0, abs(ratio)):
         raise ValueError(
             f"(t_max - t0)/tau = {ratio!r} is not a positive integer step count"
         )
+    return n_steps
+
+
+def evolve(field, t0, t_max, tau, plan, model, observer=None, stride=1):
+    """March from t0 to t_max in steps of tau.
+
+    (t_max - t0)/tau must be an integer up to roundoff (``step_count``).
+    The observer, when given, is called as observer(n, t_n, field) at
+    n = 0, every ``stride`` steps, and at the final step.
+    """
+    n_steps = step_count(t0, t_max, tau)
     if observer is not None:
         observer(0, t0, field)
     for n in range(1, n_steps + 1):

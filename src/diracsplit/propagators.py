@@ -6,10 +6,20 @@ The equation is written d/dt u = (T + W(t)) u with
     W(t) = -i e (V(t,x) I - sum_j A_j(t,x) S_j)
 
 where S_j = sigma_j, B = sigma_3 for two components and S_j = alpha_j,
-B = beta for four.  ``kinetic_step`` applies exp(s T) exactly per
-Fourier mode, ``potential_step`` applies exp(s W(t)) pointwise, and
-``compact_potential_step`` applies exp(s (W + tau^2/48 [W,[T,W]])),
-which stays pointwise in one dimension or whenever A vanishes.
+B = beta for four.  Each flow is the one closed-form spin exponential
+exp(s (-i v0 I - i b.S - i bm B)) of ``algebra.spin_exp_entries``,
+applied by ``algebra.spin_exp_apply``, with coefficients
+
+    flow                     v0    b               bm
+    kinetic_step             0     c mu            m c^2
+    potential_step           e V   -e A            0
+    compact_potential_step   e V   (-e A_1, 0, 0)  tau^2 e^2 m c^2 A_1^2/12
+
+``kinetic_step`` applies exp(s T) per Fourier mode mu, ``potential_step``
+applies exp(s W(t)) pointwise, and ``compact_potential_step`` applies
+exp(s (W + tau^2/48 [W,[T,W]])), which stays pointwise in one dimension
+or whenever A vanishes.  With A = 0 both potential flows are the scalar
+phase exp(-i s e V).
 
 ``commutator_coefficients`` evaluates the closed form of the double
 commutator [W,[T,W]] (a pointwise matrix plus matrix coefficients of
@@ -24,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _sinc, dirac_matrix, pauli
+from .algebra import dirac_matrix, pauli, spin_exp_apply, spin_exp_entries
 from .fields import SpinorField
 from .grids import mode_mesh, to_modes, from_modes, spectral_derivative
 
@@ -43,26 +53,11 @@ class UnsupportedCommutatorTransport(NotImplementedError):
 
 @lru_cache(maxsize=16)
 def _kinetic_entries(grid, ncomp, c, m, s):
-    """Per-mode matrix entries of exp(s T), cached per (grid, s)."""
-    mus = mode_mesh(grid)
-    mu1 = mus[0]
-    mu2 = mus[1] if grid.ndim >= 2 else 0.0
-    mu3 = mus[2] if grid.ndim >= 3 else 0.0
-    mc2 = m * c * c
-    delta = np.sqrt(mc2 * mc2 + c * c * (mu1 * mu1 + mu2 * mu2 + mu3 * mu3))
-    delta = np.broadcast_to(delta, grid.shape)
-    cosv = np.cos(s * delta)
-    f = s * _sinc(s * delta)
-    diag_lower = cosv - 1j * f * mc2
-    diag_upper = cosv + 1j * f * mc2
-    off_minus = np.broadcast_to(-1j * f * c * (mu1 - 1j * mu2), grid.shape)
-    off_plus = np.broadcast_to(-1j * f * c * (mu1 + 1j * mu2), grid.shape)
-    if ncomp == 2:
-        entries = (diag_lower, diag_upper, off_minus, off_plus)
-    else:
-        off_z = np.broadcast_to(-1j * f * c * np.asarray(mu3), grid.shape)
-        entries = (diag_lower, diag_upper, off_minus, off_plus, off_z)
-    entries = tuple(np.ascontiguousarray(a) for a in entries)
+    """Per-mode entries of exp(s T), cached per (grid, s)."""
+    b = [c * mu for mu in mode_mesh(grid)] + [0.0] * (3 - grid.ndim)
+    entries = spin_exp_entries(0.0, *b, m * c * c, s, ncomp)
+    entries = tuple(np.ascontiguousarray(np.broadcast_to(a, grid.shape))
+                    for a in entries)
     for a in entries:
         a.flags.writeable = False
     return entries
@@ -71,18 +66,8 @@ def _kinetic_entries(grid, ncomp, c, m, s):
 def kinetic_step(field, s, c=1.0, m=1.0):
     """Apply exp(s T): exact free flight for duration s."""
     coef = to_modes(field.data, field.grid)
-    out = np.empty_like(coef)
-    if field.ncomp == 2:
-        dl, du, km, kp = _kinetic_entries(field.grid, 2, float(c), float(m), float(s))
-        out[..., 0] = dl * coef[..., 0] + km * coef[..., 1]
-        out[..., 1] = kp * coef[..., 0] + du * coef[..., 1]
-    else:
-        dl, du, km, kp, kz = _kinetic_entries(field.grid, 4, float(c), float(m), float(s))
-        out[..., 0] = dl * coef[..., 0] + kz * coef[..., 2] + km * coef[..., 3]
-        out[..., 1] = dl * coef[..., 1] + kp * coef[..., 2] - kz * coef[..., 3]
-        out[..., 2] = du * coef[..., 2] + kz * coef[..., 0] + km * coef[..., 1]
-        out[..., 3] = du * coef[..., 3] + kp * coef[..., 0] - kz * coef[..., 1]
-    return SpinorField(field.grid, from_modes(out, field.grid))
+    entries = _kinetic_entries(field.grid, field.ncomp, float(c), float(m), float(s))
+    return SpinorField(field.grid, from_modes(spin_exp_apply(entries, coef), field.grid))
 
 
 # --- potential flow --------------------------------------------------------
@@ -115,43 +100,6 @@ def _static_phase(model, grid, s):
     return phase
 
 
-def _apply_two_comp(data, v0, b1, b2, b3, s):
-    """Pointwise exp(s(-i v0 I - i b.sigma)) on (..., 2) data."""
-    r = np.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    phase = np.exp(-1j * s * v0)
-    cosv = np.cos(s * r)
-    f = -1j * s * _sinc(s * r)
-    out = np.empty(np.broadcast_shapes(data.shape[:-1], np.shape(phase),
-                                       np.shape(cosv)) + (2,),
-                   dtype=np.complex128)
-    out[..., 0] = phase * ((cosv + f * b3) * data[..., 0]
-                           + f * (b1 - 1j * b2) * data[..., 1])
-    out[..., 1] = phase * (f * (b1 + 1j * b2) * data[..., 0]
-                           + (cosv - f * b3) * data[..., 1])
-    return out
-
-
-def _apply_four_comp(data, v0, a1, a2, a3, bc, s):
-    """Pointwise exp(s(-i v0 I + i a.alpha - i bc beta)) on (..., 4) data."""
-    r = np.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + bc * bc)
-    phase = np.exp(-1j * s * v0)
-    cosv = np.cos(s * r)
-    f = s * _sinc(s * r)
-    dl = phase * (cosv - 1j * f * bc)
-    du = phase * (cosv + 1j * f * bc)
-    g = phase * 1j * f
-    km = g * (a1 - 1j * a2)
-    kp = g * (a1 + 1j * a2)
-    kz = g * a3
-    out = np.empty(np.broadcast_shapes(data.shape[:-1], np.shape(dl)) + (4,),
-                   dtype=np.complex128)
-    out[..., 0] = dl * data[..., 0] + kz * data[..., 2] + km * data[..., 3]
-    out[..., 1] = dl * data[..., 1] + kp * data[..., 2] - kz * data[..., 3]
-    out[..., 2] = du * data[..., 2] + kz * data[..., 0] + km * data[..., 1]
-    out[..., 3] = du * data[..., 3] + kp * data[..., 0] - kz * data[..., 1]
-    return out
-
-
 def potential_step(field, t_eval, s, model):
     """Apply exp(s W(t_eval)) pointwise."""
     grid = field.grid
@@ -165,16 +113,9 @@ def potential_step(field, t_eval, s, model):
         return SpinorField(grid, field.data * phase[..., np.newaxis])
     v, a = _potential_on_grid(model, t_eval, grid)
     e = model.e
-    a = [np.asarray(ak) for ak in a]
-    while len(a) < 3:
-        a.append(np.float64(0.0))
-    if field.ncomp == 2:
-        out = _apply_two_comp(field.data, e * np.asarray(v),
-                              -e * a[0], -e * a[1], -e * a[2], s)
-    else:
-        out = _apply_four_comp(field.data, e * np.asarray(v),
-                               e * a[0], e * a[1], e * a[2], 0.0, s)
-    return SpinorField(grid, out)
+    b = [-e * np.asarray(ak) for ak in a] + [0.0] * (3 - len(a))
+    entries = spin_exp_entries(e * np.asarray(v), *b, 0.0, s, field.ncomp)
+    return SpinorField(grid, spin_exp_apply(entries, field.data))
 
 
 def compact_potential_step(field, t_eval, s, tau, model):
@@ -198,12 +139,9 @@ def compact_potential_step(field, t_eval, s, tau, model):
     e, m, c = model.e, model.m, model.c
     a1 = np.asarray(a[0])
     corr = (tau * tau * e * e * m * c * c / 12.0) * a1 * a1
-    if field.ncomp == 2:
-        out = _apply_two_comp(field.data, e * np.asarray(v), -e * a1, 0.0, corr, s)
-    else:
-        out = _apply_four_comp(field.data, e * np.asarray(v), e * a1, 0.0, 0.0,
-                               corr, s)
-    return SpinorField(grid, out)
+    entries = spin_exp_entries(e * np.asarray(v), -e * a1, 0.0, 0.0, corr, s,
+                               field.ncomp)
+    return SpinorField(grid, spin_exp_apply(entries, field.data))
 
 
 # --- double commutator [W, [T, W]] -----------------------------------------

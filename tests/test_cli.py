@@ -58,6 +58,7 @@ def test_axis_broadcast():
     ("nonsense.key = 1\n", "nonsense.key"),
     ("scheme = s3\n", "scheme"),
     ("time.tau = 0.3\ntime.t_max = 1\n", "integer"),
+    ("time.tau = 1e13\ntime.t_max = 1\n", "integer"),
     ("potential.V0 = 5\n", "potential.V0"),
     ("dimension = 2\npotential.kind = td1d\n", "dimension"),
     ("potential.kind = honeycomb\npotential.case = 1\n", "dimension"),

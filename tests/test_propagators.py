@@ -65,6 +65,9 @@ _KINETIC_CASES = [
     (4, [(-2.0, 2.0, 8), (-4.0, 4.0, 8)], 2.0, 0.5, 0.3),
     (4, [(-1.0, 1.0, 6), (-2.0, 2.0, 6), (0.0, 3.0, 6)], 1.0, 1.0, 0.2),
     (2, [(-20.0, 20.0, 16)], 137.0359895, 1.0, 2.0e-5),
+    # massless: mode 0 has r = 0 and takes the sinc series branch
+    (2, [(-3.0, 5.0, 16)], 1.0, 0.0, 0.5),
+    (4, [(-2.0, 2.0, 8), (-4.0, 4.0, 8)], 1.0, 0.0, 0.3),
 ]
 
 
@@ -161,6 +164,9 @@ _POTENTIAL_CASES = [
     (CustomPotential(v_expr="sin(x)*y/3",
                      a_exprs=("tanh(x) + y/5", "cos(x*y/4)")), 2, 2, 0.6, 0.3),
     (ZeroPotential(), 1, 2, 0.0, 1.0),
+    (CustomPotential(v_expr="sin(x)*y/3 + z/4",
+                     a_exprs=("tanh(x) + z/5", "cos(x*y/4)", "sin(y + z)/2")),
+     3, 4, 0.6, 0.3),
 ]
 
 
