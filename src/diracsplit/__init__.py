@@ -1,43 +1,15 @@
 """Split-step Fourier pseudospectral solvers for the time-dependent
-Dirac equation with time-dependent electromagnetic potentials."""
+Dirac equation with time-dependent electromagnetic potentials.
+
+The package root exports the names the README and the tests use; every
+other public name is imported from its submodule (``diracsplit.experiments``,
+``diracsplit.propagators``, ...)."""
 
 from .grids import PeriodicGrid
-from .fields import SpinorField, mass, probability_density, current_density, error_norms
-from .potentials import (
-    ZeroPotential,
-    TimeDependent1D,
-    KleinStep,
-    Honeycomb2D,
-    CustomPotential,
-)
-from .propagators import (
-    kinetic_step,
-    potential_step,
-    compact_potential_step,
-    commutator_coefficients,
-    commutator_bruteforce,
-    UnsupportedCommutatorTransport,
-)
-from .integrators import SplitStepPlan, Factor, builtin_plan, step, evolve, SCHEMES
-from .experiments import (
-    SPEED_OF_LIGHT,
-    KleinReport,
-    klein_initial,
-    klein_transmission_analytic,
-    transmitted_fraction,
-    klein_run,
-    ConvergenceSetup,
-    ConvergenceReport,
-    convergence_study,
-    reference_solution,
-    asymptotic_rate,
-    setup_line_rational,
-    setup_honeycomb,
-    gaussian_pair_1d,
-    gaussian_pair_2d,
-    DensitySnapshot,
-    honeycomb_dynamics,
-)
+from .fields import SpinorField, mass, error_norms
+from .potentials import TimeDependent1D
+from .propagators import commutator_coefficients, commutator_bruteforce
+from .integrators import builtin_plan, evolve, SCHEMES
 
 __version__ = "0.1.0"
 
@@ -45,41 +17,11 @@ __all__ = [
     "PeriodicGrid",
     "SpinorField",
     "mass",
-    "probability_density",
-    "current_density",
     "error_norms",
-    "ZeroPotential",
     "TimeDependent1D",
-    "KleinStep",
-    "Honeycomb2D",
-    "CustomPotential",
-    "kinetic_step",
-    "potential_step",
-    "compact_potential_step",
     "commutator_coefficients",
     "commutator_bruteforce",
-    "UnsupportedCommutatorTransport",
-    "SplitStepPlan",
-    "Factor",
     "builtin_plan",
-    "step",
     "evolve",
     "SCHEMES",
-    "SPEED_OF_LIGHT",
-    "KleinReport",
-    "klein_initial",
-    "klein_transmission_analytic",
-    "transmitted_fraction",
-    "klein_run",
-    "ConvergenceSetup",
-    "ConvergenceReport",
-    "convergence_study",
-    "reference_solution",
-    "asymptotic_rate",
-    "setup_line_rational",
-    "setup_honeycomb",
-    "gaussian_pair_1d",
-    "gaussian_pair_2d",
-    "DensitySnapshot",
-    "honeycomb_dynamics",
 ]

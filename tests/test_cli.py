@@ -11,7 +11,7 @@ from diracsplit import PeriodicGrid, evolve, builtin_plan
 from diracsplit.cli import (ConfigError, SimulationConfig, build_grid,
                             build_initial, build_model, dumps_config,
                             load_config, loads_config, main)
-from diracsplit.experiments import gaussian_pair_1d, klein_initial
+from diracsplit.experiments import gaussian_pair, klein_initial
 from diracsplit.potentials import Honeycomb2D, ZeroPotential
 from diracsplit.snapshots import read_snapshot
 
@@ -70,6 +70,8 @@ def test_axis_broadcast():
     ("potential.kind = honeycomb\ndimension = 2\npotential.case = 5\n",
      "case"),
     ("convergence.taus = -0.25\n", "positive"),
+    ("convergence.taus = 0.3\n", "integer"),
+    ("convergence.tau_ref = 0.3\n", "integer"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -110,7 +112,7 @@ def test_build_initial_matches_experiment_helpers():
     cfg = loads_config("grid.a = -16\ngrid.b = 16\ngrid.M = 128\n")
     grid = build_grid(cfg)
     np.testing.assert_array_equal(build_initial(cfg, grid).data,
-                                  gaussian_pair_1d(grid).data)
+                                  gaussian_pair(grid).data)
     cfg2 = loads_config(
         "potential.kind = klein_step\npotential.V0 = 2e4\n"
         "potential.L = 1e-4\nconstants.c = 137.0359895\n"
@@ -292,6 +294,16 @@ def test_commutator_check_td1d(tmp_path, capsys):
     assert main(["commutator-check", cfgfile, "--fields", "5"]) == 0
     out = capsys.readouterr().out
     assert "1d/2comp" in out and "1d/4comp" in out and "FAIL" not in out
+
+
+def test_commutator_check_honeycomb(tmp_path, capsys):
+    # A = 0: the exact commutator vanishes and only roundoff is compared
+    cfgfile = _write(tmp_path, "chk.cfg",
+                     "dimension = 2\ngrid.a = -8\ngrid.b = 8\ngrid.M = 64\n"
+                     "potential.kind = honeycomb\npotential.case = 2\n")
+    assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "2d/2comp" in out and "2d/4comp" in out and "FAIL" not in out
 
 
 def test_plan_subcommand(capsys):

@@ -16,11 +16,12 @@ from diracsplit import (PeriodicGrid, SpinorField, error_norms, evolve,
                         builtin_plan, mass)
 from diracsplit.experiments import (SPEED_OF_LIGHT, ConvergenceSetup,
                                     asymptotic_rate, convergence_study,
-                                    gaussian_pair_1d, gaussian_pair_2d,
-                                    honeycomb_dynamics, klein_initial,
-                                    klein_run, klein_transmission_analytic,
+                                    gaussian_pair, honeycomb_dynamics,
+                                    klein_initial, klein_report, klein_run,
+                                    klein_transmission_analytic,
                                     reference_solution, setup_honeycomb,
                                     setup_line_rational, transmitted_fraction)
+from diracsplit.potentials import KleinStep
 
 T_ANA_GOLDEN = 0.5500452752120402  # k0=106, V0=6.13e4, L=1e-4
 
@@ -136,6 +137,16 @@ def test_klein_run_rejects_bad_mesh():
         klein_run(h=0.3, tau=1e-3, t_max=0.01)
 
 
+def test_klein_report_step_height_carries_charge():
+    # e = 2 halves V0 for the same step e V0 = 6.13e4 as the golden value
+    grid = PeriodicGrid.line(-20.0, 20.0, 64)
+    model = KleinStep(V0=3.065e4, L=1e-4, c=SPEED_OF_LIGHT, e=2.0)
+    rep = klein_report(klein_initial(grid, 106.0), model, 106.0, -10.0)
+    assert rep.klein_regime
+    assert rep.T_ana == pytest.approx(T_ANA_GOLDEN, rel=1e-13)
+    assert rep.V0 == 3.065e4
+
+
 # --- convergence studies ------------------------------------------------------
 
 def _mini_setup():
@@ -197,7 +208,9 @@ def test_setup_builders():
     s2 = setup_honeycomb(2)
     assert s2.grid.shape == (128, 128)
     assert s2.model.case == 2
-    f = gaussian_pair_1d(s1.grid)
+    with pytest.raises(ValueError):
+        setup_honeycomb(1, h=0.31)
+    f = gaussian_pair(s1.grid)
     x = s1.grid.axis_points(0)
     i1 = int(np.argmin(np.abs(x - 1.0)))
     assert abs(f.data[i1, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -248,6 +261,6 @@ def test_honeycomb_matches_plain_evolution():
     grid = _hex_grid()
     snaps = honeycomb_dynamics(3, grid, 1 / 16, [0.5])
     from diracsplit.potentials import Honeycomb2D
-    ref = evolve(gaussian_pair_2d(grid), 0.0, 0.5, 1 / 16,
+    ref = evolve(gaussian_pair(grid), 0.0, 0.5, 1 / 16,
                  builtin_plan("s4c"), Honeycomb2D(case=3))
     np.testing.assert_array_equal(snaps[0].field.data, ref.data)
