@@ -112,21 +112,23 @@ class _RawConfig:
             raise ConfigError(f"missing required key {key}")
         return default
 
-    def check(self, keys, build, *args):
-        """Return build(*args), reporting its ValueError as a ConfigError.
+    def error(self, keys, message):
+        """ConfigError for ``message`` about the values of ``keys``.
 
         The message names the keys among ``keys`` that the text set (all
         of ``keys`` when it set none) and starts with the line of the
         first of them.
         """
+        given = sorted((k for k in keys if k in self.lines), key=self.lines.get)
+        where = f"line {self.lines[given[0]]}: " if given else ""
+        return ConfigError(f"{where}{', '.join(given or keys)}: {message}")
+
+    def check(self, keys, build, *args):
+        """Return build(*args), reporting its ValueError as a ConfigError."""
         try:
             return build(*args)
         except ValueError as exc:
-            given = sorted((k for k in keys if k in self.lines),
-                           key=self.lines.get)
-            where = f"line {self.lines[given[0]]}: " if given else ""
-            raise ConfigError(
-                f"{where}{', '.join(given or keys)}: {exc}") from None
+            raise self.error(keys, exc) from None
 
     def finish(self):
         if self.entries:
@@ -164,13 +166,16 @@ def loads_config(text):
     cfg = SimulationConfig()
     cfg.dimension = raw.take("dimension", _parse_int, cfg.dimension)
     if cfg.dimension not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {cfg.dimension}")
+        raise raw.error(("dimension",),
+                        f"must be 1, 2 or 3, got {cfg.dimension}")
     cfg.components = raw.take("components", _parse_int,
                               4 if cfg.dimension == 3 else cfg.components)
     if cfg.components not in (2, 4):
-        raise ConfigError(f"components must be 2 or 4, got {cfg.components}")
+        raise raw.error(("components",),
+                        f"must be 2 or 4, got {cfg.components}")
     if cfg.dimension == 3 and cfg.components == 2:
-        raise ConfigError("components = 2 requires dimension <= 2")
+        raise raw.error(("dimension", "components"),
+                        "components = 2 requires dimension <= 2")
     cfg.scheme = raw.take("scheme", str, cfg.scheme)
 
     def _axis(name, parse, default):
@@ -178,9 +183,8 @@ def loads_config(text):
         if len(vals) == 1 and cfg.dimension > 1:
             vals = vals * cfg.dimension
         if len(vals) != cfg.dimension:
-            raise ConfigError(
-                f"{name} needs {cfg.dimension} comma-separated values, "
-                f"got {len(vals)}")
+            raise raw.error((name,), f"needs {cfg.dimension} comma-separated "
+                                     f"values, got {len(vals)}")
         return vals
 
     cfg.a = _axis("grid.a", _parse_floats, cfg.a)
@@ -196,12 +200,12 @@ def loads_config(text):
     kind = cfg.potential_kind = raw.take("potential.kind", str,
                                          cfg.potential_kind)
     if kind not in POTENTIAL_KINDS:
-        raise ConfigError(f"unknown potential.kind {kind}; "
-                          f"choose from {POTENTIAL_KINDS}")
-    if kind in ("td1d", "klein_step") and cfg.dimension != 1:
-        raise ConfigError(f"potential.kind = {kind} needs dimension = 1")
-    if kind == "honeycomb" and cfg.dimension != 2:
-        raise ConfigError("potential.kind = honeycomb needs dimension = 2")
+        raise raw.error(("potential.kind",),
+                        f"unknown kind {kind}; choose from {POTENTIAL_KINDS}")
+    need = {"td1d": 1, "klein_step": 1, "honeycomb": 2}.get(kind, cfg.dimension)
+    if cfg.dimension != need:
+        raise raw.error(("dimension", "potential.kind"),
+                        f"{kind} needs dimension = {need}")
     params = cfg.potential_params
     if kind == "klein_step":
         params["V0"] = raw.take("potential.V0", _parse_float)
@@ -217,19 +221,19 @@ def loads_config(text):
 
     cfg.initial_kind = raw.take("initial.kind", str, cfg.initial_kind)
     if cfg.initial_kind not in INITIAL_KINDS:
-        raise ConfigError(f"unknown initial.kind {cfg.initial_kind}; "
-                          f"choose from {INITIAL_KINDS}")
+        raise raw.error(("initial.kind",), f"unknown kind {cfg.initial_kind}; "
+                                           f"choose from {INITIAL_KINDS}")
     if cfg.initial_kind == "klein":
         if cfg.dimension != 1 or cfg.components != 2:
-            raise ConfigError("initial.kind = klein needs dimension = 1 "
-                              "and components = 2")
+            raise raw.error(("dimension", "components", "initial.kind"),
+                            "klein needs dimension = 1 and components = 2")
         cfg.k0 = raw.take("initial.k0", _parse_float, cfg.k0)
         cfg.x0 = raw.take("initial.x0", _parse_float, cfg.x0)
 
     cfg.output_prefix = raw.take("output.prefix", str, cfg.output_prefix)
     cfg.stride = raw.take("output.stride", _parse_int, cfg.stride)
     if cfg.stride < 0:
-        raise ConfigError(f"output.stride must be >= 0, got {cfg.stride}")
+        raise raw.error(("output.stride",), f"must be >= 0, got {cfg.stride}")
     cfg.conv_schemes = raw.take("convergence.schemes", _parse_names,
                                 cfg.conv_schemes)
     cfg.conv_taus = raw.take("convergence.taus", _parse_floats, cfg.conv_taus)
@@ -319,16 +323,8 @@ def build_model(cfg):
         return KleinStep(V0=p["V0"], L=p["L"], **consts)
     if kind == "honeycomb":
         return Honeycomb2D(case=p["case"], **consts)
-    a_exprs = []
-    for k in range(1, cfg.dimension + 1):
-        a_exprs.append(p.get(f"A{k}_expr", "0"))
-    extra = [k for k in p if k.startswith("A") and
-             int(k[1]) > cfg.dimension]
-    if extra:
-        raise ConfigError(f"potential.{extra[0]} exceeds dimension "
-                          f"{cfg.dimension}")
-    while a_exprs and a_exprs[-1] == "0":
-        a_exprs.pop()
+    top = max((int(k[1]) for k in p if k.startswith("A")), default=0)
+    a_exprs = [p.get(f"A{k}_expr", "0") for k in range(1, top + 1)]
     try:
         return CustomPotential(v_expr=p.get("V_expr", "0"),
                                a_exprs=tuple(a_exprs), **consts)
@@ -471,6 +467,8 @@ def _band_limited_field(grid, ncomp, rng):
 
 
 def cmd_commutator_check(args, stdout):
+    if args.fields < 1:
+        raise ConfigError(f"--fields must be >= 1, got {args.fields}")
     cfg = load_config(args.config)
     grid = build_grid(cfg)
     model = build_model(cfg)
@@ -562,7 +560,7 @@ def main(argv=None):
                                 "commutator report")
     p_chk.add_argument("config")
     p_chk.add_argument("--fields", type=int, default=20,
-                       help="random fields per case (default 20)")
+                       help="random fields per case, >= 1 (default 20)")
     p_chk.set_defaults(func=cmd_commutator_check)
 
     p_plan = sub.add_parser("plan",

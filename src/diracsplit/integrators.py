@@ -46,9 +46,6 @@ class SplitStepPlan:
     order: int
     factors: tuple
 
-    def kinetic_coefficients(self):
-        return [f.coefficient for f in self.factors if f.kind == KINETIC]
-
 
 def assign_time_offsets(plan):
     """Set each potential factor's offset to the kinetic sum before it."""
@@ -191,6 +188,8 @@ def evolve(field, t0, t_max, tau, plan, model, observer=None, stride=1):
     n = 0, every ``stride`` steps, and at the final step.
     """
     n_steps = step_count(t0, t_max, tau)
+    if stride < 1:
+        raise ValueError(f"observer stride must be >= 1, got {stride}")
     if observer is not None:
         observer(0, t0, field)
     for n in range(1, n_steps + 1):

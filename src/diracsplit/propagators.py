@@ -78,44 +78,35 @@ def _grid_mesh(grid):
 
 
 @lru_cache(maxsize=32)
-def _static_potential(model, grid):
-    """(V, [A_j]) of a time-independent model on the grid."""
-    xs = _grid_mesh(grid)
-    return model.scalar(0.0, xs), model.magnetic(0.0, xs)
-
-
-def _potential_on_grid(model, t, grid):
-    if model.time_dependent:
-        xs = _grid_mesh(grid)
-        return model.scalar(t, xs), model.magnetic(t, xs)
-    return _static_potential(model, grid)
-
-
-@lru_cache(maxsize=32)
 def _static_phase(model, grid, s):
-    v, _ = _static_potential(model, grid)
+    """exp(-i s e V) of a time-independent model with A = 0."""
+    v = model.scalar(0.0, _grid_mesh(grid))
     phase = np.exp(-1j * (s * model.e) * np.asarray(v))
     phase = np.ascontiguousarray(np.broadcast_to(phase, grid.shape))
     phase.flags.writeable = False
     return phase
 
 
+def _magnetic_factor(field, s, e, v, a, bm):
+    """Apply exp(s (W - i bm B)) for W = -i e (V - A.S) given on the grid."""
+    b = [-e * np.asarray(ak) for ak in a] + [0.0] * (3 - len(a))
+    entries = spin_exp_entries(e * np.asarray(v), *b, bm, s, field.ncomp)
+    return SpinorField(field.grid, spin_exp_apply(entries, field.data))
+
+
 def potential_step(field, t_eval, s, model):
     """Apply exp(s W(t_eval)) pointwise."""
     grid = field.grid
     model.check_dimension(grid.ndim)
-    if model.magnetic_zero:
-        if model.time_dependent:
-            xs = _grid_mesh(grid)
-            phase = np.exp(-1j * (s * model.e) * np.asarray(model.scalar(t_eval, xs)))
-        else:
-            phase = _static_phase(model, grid, float(s))
-        return SpinorField(grid, field.data * phase[..., np.newaxis])
-    v, a = _potential_on_grid(model, t_eval, grid)
-    e = model.e
-    b = [-e * np.asarray(ak) for ak in a] + [0.0] * (3 - len(a))
-    entries = spin_exp_entries(e * np.asarray(v), *b, 0.0, s, field.ncomp)
-    return SpinorField(grid, spin_exp_apply(entries, field.data))
+    xs = _grid_mesh(grid)
+    if not model.magnetic_zero:
+        return _magnetic_factor(field, s, model.e, model.scalar(t_eval, xs),
+                                model.magnetic(t_eval, xs), 0.0)
+    if model.time_dependent:
+        phase = np.exp(-1j * (s * model.e) * np.asarray(model.scalar(t_eval, xs)))
+    else:
+        phase = _static_phase(model, grid, float(s))
+    return SpinorField(grid, field.data * phase[..., np.newaxis])
 
 
 def compact_potential_step(field, t_eval, s, tau, model):
@@ -135,23 +126,22 @@ def compact_potential_step(field, t_eval, s, tau, model):
         raise UnsupportedCommutatorTransport(
             "compact potential steps with nonzero A need one space dimension"
         )
-    v, a = _potential_on_grid(model, t_eval, grid)
+    xs = _grid_mesh(grid)
+    v, a = model.scalar(t_eval, xs), model.magnetic(t_eval, xs)
     e, m, c = model.e, model.m, model.c
     a1 = np.asarray(a[0])
-    corr = (tau * tau * e * e * m * c * c / 12.0) * a1 * a1
-    entries = spin_exp_entries(e * np.asarray(v), -e * a1, 0.0, 0.0, corr, s,
-                               field.ncomp)
-    return SpinorField(grid, spin_exp_apply(entries, field.data))
+    return _magnetic_factor(field, s, e, v, a,
+                            (tau * tau * e * e * m * c * c / 12.0) * a1 * a1)
 
 
 # --- double commutator [W, [T, W]] -----------------------------------------
 
 def _spin_basis(ncomp):
-    """(S_1, S_2, S_3, B) with S_j the kinetic matrices and B the mass one."""
+    """(S_1, S_2, S_3), B and gamma, with gamma S_j = sigma_j for two components."""
     if ncomp == 2:
-        return (pauli(1), pauli(2), pauli(3)), pauli(3)
+        return (pauli(1), pauli(2), pauli(3)), pauli(3), np.eye(2, dtype=np.complex128)
     alphas = tuple(dirac_matrix(f"alpha{j}") for j in (1, 2, 3))
-    return alphas, dirac_matrix("beta")
+    return alphas, dirac_matrix("beta"), dirac_matrix("gamma")
 
 
 def _matrix_field(shape, terms):
@@ -174,8 +164,6 @@ class CommutatorCoefficients:
     def apply(self, field):
         out = np.einsum("...ij,...j->...i", self.order0, field.data)
         for j, g in enumerate(self.grad):
-            if g is None:
-                continue
             out += np.einsum("...ij,...j->...i",
                              g, spectral_derivative(field.data, self.grid, j))
         return SpinorField(self.grid, out)
@@ -191,6 +179,8 @@ def commutator_coefficients(model, t, grid, ncomp=2):
     anti-Hermitian).  The bilinear structure in (V, A) makes the
     physical constants enter as c e^2 on every term born from the
     c S_j d/dx_j part of T and as m c^2 e^2 on the A^2 mass term.
+    The three-dimensional form serves every grid: axes the grid lacks
+    carry zero potentials and zero derivatives.
     """
     model.check_dimension(grid.ndim)
     d = grid.ndim
@@ -201,55 +191,40 @@ def commutator_coefficients(model, t, grid, ncomp=2):
     ce2 = 4.0 * c * e * e
     mass_coef = -4.0j * e * e * m * c * c
     shape = grid.shape
-    spins, bmat = _spin_basis(ncomp)
-
-    a = model.magnetic(t, xs)
-    a = [np.asarray(ak) for ak in a]
-
-    if d == 1:
-        order0 = _matrix_field(shape, [(mass_coef * a[0] * a[0], bmat)])
-        return CommutatorCoefficients(grid, order0, [None])
-
-    dv = model.scalar_gradient(t, xs)
-    da = model.magnetic_gradient(t, xs)
+    spins, bmat, gamma = _spin_basis(ncomp)
+    pad = [0.0] * (3 - d)
+    a = [np.asarray(ak) for ak in model.magnetic(t, xs)] + pad
+    dv = list(model.scalar_gradient(t, xs)) + pad
+    da = ([list(row) + pad for row in model.magnetic_gradient(t, xs)]
+          + [[0.0] * 3] * (3 - d))
 
     # transport: G_j = ce2 (A_j A.S - |A|^2 S_j)
     norm2 = sum(ak * ak for ak in a)
     grad = []
     for j in range(d):
         terms = [(ce2 * (a[j] * a[n] - (norm2 if n == j else 0.0)), spins[n])
-                 for n in range(d)]
+                 for n in range(3)]
         grad.append(_matrix_field(shape, terms))
 
     # zeroth order: Hermitian part 1/2 sum_j d_j G_j, expanded via the
     # product rule as ce2/2 ((A.grad)A_n + (div A) A_n - d_n |A|^2)
-    div_a = sum(da[k][k] for k in range(d))
-    dnorm = [2.0 * sum(a[k] * da[k][j] for k in range(d)) for j in range(d)]
+    div_a = sum(da[k][k] for k in range(3))
+    dnorm = [2.0 * sum(a[k] * da[k][j] for k in range(3)) for j in range(3)]
     terms = []
-    for n in range(d):
-        adg = sum(a[k] * da[n][k] for k in range(d))
+    for n in range(3):
+        adg = sum(a[k] * da[n][k] for k in range(3))
         terms.append((0.5 * ce2 * (adg + div_a * a[n] - dnorm[n]), spins[n]))
 
-    if d == 2:
-        a1, a2 = a[0], a[1]
-        if ncomp == 2:
-            curl_mat = spins[2]
-        else:
-            curl_mat = dirac_matrix("gamma") @ dirac_matrix("alpha3")
-        terms.append((1j * ce2 * (a2 * dv[0] - a1 * dv[1]), curl_mat))
-    else:
-        # d == 3, four components
-        a1, a2, a3 = a
-        gamma = dirac_matrix("gamma")
-        galpha = tuple(gamma @ s for s in spins)
-        terms.extend([
-            (0.5j * ce2 * (a1 * (da[2][1] - da[1][2])
-                           + a2 * (da[0][2] - da[2][0])
-                           + a3 * (da[1][0] - da[0][1])), gamma),
-            (1j * ce2 * (a3 * dv[1] - a2 * dv[2]), galpha[0]),
-            (1j * ce2 * (a1 * dv[2] - a3 * dv[0]), galpha[1]),
-            (1j * ce2 * (a2 * dv[0] - a1 * dv[1]), galpha[2]),
-        ])
+    a1, a2, a3 = a
+    galpha = tuple(gamma @ s for s in spins)
+    terms.extend([
+        (0.5j * ce2 * (a1 * (da[2][1] - da[1][2])
+                       + a2 * (da[0][2] - da[2][0])
+                       + a3 * (da[1][0] - da[0][1])), gamma),
+        (1j * ce2 * (a3 * dv[1] - a2 * dv[2]), galpha[0]),
+        (1j * ce2 * (a1 * dv[2] - a3 * dv[0]), galpha[1]),
+        (1j * ce2 * (a2 * dv[0] - a1 * dv[1]), galpha[2]),
+    ])
     terms.append((mass_coef * norm2, bmat))
     order0 = _matrix_field(shape, terms)
     return CommutatorCoefficients(grid, order0, grad)
@@ -269,11 +244,9 @@ def commutator_bruteforce(field, t, model):
     grid = field.grid
     model.check_dimension(grid.ndim)
     d, n = grid.ndim, field.ncomp
-    if n == 2 and d == 3:
-        raise ValueError("two-component fields exist in one or two dimensions")
     xs = _grid_mesh(grid)
     e, m, c = model.e, model.m, model.c
-    spins, bmat = _spin_basis(n)
+    spins, bmat, _ = _spin_basis(n)
     eye = np.eye(n, dtype=np.complex128)
 
     v = model.scalar(t, xs)

@@ -72,11 +72,27 @@ def test_axis_broadcast():
     ("convergence.taus = -0.25\n", "positive"),
     ("convergence.taus = 0.3\n", "integer"),
     ("convergence.tau_ref = 0.3\n", "integer"),
+    ("# checks without a library twin carry the line too\ndimension = 4\n",
+     "line 2: dimension"),
+    ("scheme = s2\noutput.stride = -1\n", "line 2: output.stride"),
+    ("scheme = s2\n\npotential.kind = nope\n", "line 3: potential.kind"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
         loads_config(text)
     assert fragment in str(err.value)
+
+
+def test_magnetic_component_beyond_dimension_named_once():
+    with pytest.raises(ConfigError) as err:
+        loads_config("dimension = 2\npotential.kind = custom\n"
+                     "potential.A3_expr = x\n")
+    assert str(err.value).count("potential.A3_expr") == 1
+    assert "line 1" in str(err.value)
+    # an explicit zero component still sets the model's dimension
+    with pytest.raises(ConfigError, match="potential.A3_expr"):
+        loads_config("dimension = 2\npotential.kind = custom\n"
+                     "potential.A3_expr = 0\n")
 
 
 def test_syntax_error_reports_line_number():
@@ -304,6 +320,28 @@ def test_commutator_check_honeycomb(tmp_path, capsys):
     assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
     out = capsys.readouterr().out
     assert "2d/2comp" in out and "2d/4comp" in out and "FAIL" not in out
+
+
+def test_commutator_check_3d_magnetic(tmp_path, capsys):
+    # every A_k nonzero: the only CLI row through the three-axis terms
+    cfgfile = _write(tmp_path, "chk.cfg",
+                     "dimension = 3\ngrid.a = -2\ngrid.b = 2\ngrid.M = 8\n"
+                     "potential.kind = custom\n"
+                     "potential.V_expr = sin(x) + y*z/6\n"
+                     "potential.A1_expr = tanh(y) + z^2/40\n"
+                     "potential.A2_expr = x*z/5\n"
+                     "potential.A3_expr = cos(x) + y^2/30\n")
+    assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "3d/4comp" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("fields", ["0", "-3"])
+def test_commutator_check_rejects_fields_below_one(tmp_path, capsys, fields):
+    cfgfile = _write(tmp_path, "chk.cfg", "potential.kind = td1d\n")
+    assert main(["commutator-check", cfgfile, "--fields", fields]) == 2
+    captured = capsys.readouterr()
+    assert "--fields" in captured.err and "pass" not in captured.out
 
 
 def test_plan_subcommand(capsys):

@@ -187,3 +187,12 @@ def test_observer_calls_and_stride():
     assert [n for n, _ in seen] == [0, 3, 6, 9, 10]
     for n, t in seen:
         assert t == pytest.approx(1.0 + 0.1 * n, abs=1e-14)
+
+
+def test_observer_stride_must_be_positive():
+    grid = PeriodicGrid.line(-4.0, 4.0, 16)
+    f = _gaussian(grid)
+    for stride in (0, -2):
+        with pytest.raises(ValueError, match="stride"):
+            evolve(f, 0.0, 1.0, 0.25, builtin_plan("s2"), ZeroPotential(),
+                   observer=lambda n, t, fld: None, stride=stride)

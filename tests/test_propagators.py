@@ -227,11 +227,12 @@ def test_compact_step_rejects_magnetic_in_higher_dimensions():
 
 def test_static_potential_phase_is_cached():
     grid = PeriodicGrid.line(-2.0, 2.0, 16)
-    model = KleinStep(V0=3.0, L=0.5)
     f = SpinorField.from_components(grid, (1.0, 0.0))
-    a = potential_step(f, 0.0, 0.25, model)
-    b = potential_step(f, 5.0, 0.25, model)  # static: t is irrelevant
-    assert np.array_equal(a.data, b.data)
+    for model in (KleinStep(V0=3.0, L=0.5),
+                  CustomPotential(v_expr="sin(x)", a_exprs=("tanh(x)",))):
+        a = potential_step(f, 0.0, 0.25, model)
+        b = potential_step(f, 5.0, 0.25, model)  # static: t is irrelevant
+        assert np.array_equal(a.data, b.data)
 
 
 # --- double commutator ------------------------------------------------------
