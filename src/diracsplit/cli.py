@@ -241,7 +241,7 @@ def loads_config(text):
                                 cfg.conv_tau_ref)
     raw.finish()
 
-    raw.check(("grid.a", "grid.b", "grid.M"), build_grid, cfg)
+    grid = raw.check(("grid.a", "grid.b", "grid.M"), build_grid, cfg)
     raw.check(("scheme",), builtin_plan, cfg.scheme)
     for name in cfg.conv_schemes:
         raw.check(("convergence.schemes",), builtin_plan, name)
@@ -252,10 +252,13 @@ def loads_config(text):
     for key, tau in steps:
         raw.check((key, "time.t0", "time.t_max"), step_count,
                   cfg.t0, cfg.t_max, tau)
-    # V0 is the one potential parameter no constructor constrains
-    pkeys = tuple(f"potential.{k}" for k in params if k != "V0")
-    model = raw.check(("constants.c", "constants.m") + pkeys, build_model, cfg)
+    pkeys = tuple(f"potential.{k}" for k in params)
+    model = raw.check(("constants.c", "constants.m", "constants.e") + pkeys,
+                      build_model, cfg)
     raw.check(("dimension",) + pkeys, model.check_dimension, cfg.dimension)
+    if cfg.initial_kind == "klein":
+        raw.check(("initial.k0", "initial.x0"), klein_initial, grid, cfg.k0,
+                  cfg.x0, cfg.c, cfg.m)
     return cfg
 
 

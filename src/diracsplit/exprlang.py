@@ -206,20 +206,18 @@ def _eval(node, env):
     if isinstance(node, Neg):
         return -_eval(node.arg, env)
     if isinstance(node, Call):
-        with np.errstate(all="ignore"):
-            return _FN_TABLE[node.fn](_eval(node.arg, env))
+        return _FN_TABLE[node.fn](_eval(node.arg, env))
     left = _eval(node.left, env)
     right = _eval(node.right, env)
-    with np.errstate(all="ignore"):
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return np.divide(left, right)
-        return np.power(left, right)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        return np.divide(left, right)
+    return np.power(left, right)
 
 
 def evaluate(expr, env):
@@ -228,7 +226,8 @@ def evaluate(expr, env):
     Any non-finite value in the result (division by zero, domain faults)
     raises ExprEvalError.
     """
-    out = _eval(expr, env)
+    with np.errstate(all="ignore"):
+        out = _eval(expr, env)
     if not np.all(np.isfinite(out)):
         raise ExprEvalError("expression produced a non-finite value")
     return out

@@ -48,8 +48,8 @@ class PeriodicGrid:
         if not 1 <= len(self.points) <= 3:
             raise ValueError(f"grid dimension must be 1..3, got {len(self.points)}")
         for a, b, m in zip(self.lower, self.upper, self.points):
-            if not b > a:
-                raise ValueError(f"axis needs b > a, got ({a}, {b})")
+            if not (np.isfinite([a, b]).all() and b > a):
+                raise ValueError(f"axis needs finite b > a, got ({a}, {b})")
             if m < 4 or m % 2 != 0:
                 raise ValueError(f"points per axis must be even and >= 4, got {m}")
 

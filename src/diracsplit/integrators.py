@@ -17,6 +17,7 @@ precision coefficients so offset bookkeeping stays exact either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -166,13 +167,16 @@ def step(field, t, tau, plan, model):
 def step_count(t0, t_max, tau):
     """Number of steps of size tau from t0 to t_max.
 
-    Raises ValueError unless (t_max - t0)/tau is a positive integer up to
-    roundoff.
+    Raises ValueError unless t0, t_max and tau are finite and
+    (t_max - t0)/tau is a positive integer up to roundoff.
     """
+    if not all(map(math.isfinite, (t0, t_max, tau))):
+        raise ValueError(f"t0, t_max and tau must be finite, got "
+                         f"({t0}, {t_max}, {tau})")
     if tau <= 0:
         raise ValueError(f"step size must be positive, got {tau}")
     ratio = (t_max - t0) / tau
-    n_steps = round(ratio)
+    n_steps = round(ratio) if math.isfinite(ratio) else 0
     if n_steps < 1 or abs(ratio - n_steps) > 2.0**-33 * max(1.0, abs(ratio)):
         raise ValueError(
             f"(t_max - t0)/tau = {ratio!r} is not a positive integer step count"

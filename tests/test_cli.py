@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ def test_axis_broadcast():
      "line 2: dimension"),
     ("scheme = s2\noutput.stride = -1\n", "line 2: output.stride"),
     ("scheme = s2\n\npotential.kind = nope\n", "line 3: potential.kind"),
+    ("constants.m = nan\n", "line 1: constants.m"),
+    ("constants.c = inf\n", "line 1: constants.c"),
+    ("constants.e = nan\n", "line 1: constants.e"),
+    ("potential.kind = klein_step\npotential.V0 = inf\npotential.L = 1\n",
+     "potential.V0"),
+    ("grid.b = inf\n", "line 1: grid.b"),
+    ("initial.kind = klein\ninitial.k0 = nan\n", "line 2: initial.k0"),
+    ("initial.kind = klein\ninitial.x0 = -inf\n", "line 2: initial.x0"),
+    ("time.t_max = inf\n", "line 1: time.t_max"),
 ])
 def test_config_errors(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -320,6 +330,19 @@ def test_commutator_check_honeycomb(tmp_path, capsys):
     assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
     out = capsys.readouterr().out
     assert "2d/2comp" in out and "2d/4comp" in out and "FAIL" not in out
+
+
+def test_commutator_check_sharp_klein_step_stays_finite(tmp_path, capsys):
+    # |x/L| reaches 2e5: a gradient through cosh(x/L)^2 overflows there
+    cfgfile = _write(tmp_path, "chk.cfg",
+                     "grid.a = -20\ngrid.b = 20\ngrid.M = 256\n"
+                     "potential.kind = klein_step\npotential.V0 = 2e4\n"
+                     "potential.L = 1e-4\nconstants.c = 137.0359895\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "1d/2comp" in out and "FAIL" not in out
 
 
 def test_commutator_check_3d_magnetic(tmp_path, capsys):

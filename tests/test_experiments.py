@@ -91,6 +91,14 @@ def test_klein_initial_at_rest():
     assert np.all(f.data[..., 1] == 0.0)
 
 
+def test_klein_initial_rejects_non_finite():
+    grid = PeriodicGrid.line(-20.0, 20.0, 128)
+    for k0, x0 in ((np.nan, -10.0), (np.inf, -10.0), (106.0, np.nan),
+                   (106.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            klein_initial(grid, k0, x0)
+
+
 def test_transmitted_fraction_uniform():
     grid = PeriodicGrid.line(-2.0, 2.0, 8)
     f = SpinorField.from_components(grid, (np.ones(8), np.zeros(8)))

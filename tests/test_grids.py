@@ -26,6 +26,9 @@ def test_grid_validation():
         PeriodicGrid.line(1.0, 1.0, 8)  # empty interval
     with pytest.raises(ValueError):
         PeriodicGrid(lower=(0.0,), upper=(1.0, 2.0), points=(8, 8))
+    for a, b in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicGrid.line(a, b, 8)
 
 
 def test_spacing_and_points():

@@ -17,6 +17,7 @@ from diracsplit.integrators import (
     builtin_plan,
     evolve,
     step,
+    step_count,
     zeroed_offsets,
 )
 from diracsplit.potentials import KleinStep, TimeDependent1D, ZeroPotential
@@ -174,6 +175,13 @@ def test_evolve_validates_step_count():
         evolve(f, 0.0, 1.0, -0.1, plan, model)
     with pytest.raises(ValueError):
         evolve(f, 0.0, 1.0, 0.3, plan, model)
+    for t0, t_max, tau in ((0.0, np.inf, 0.1), (np.nan, 1.0, 0.1),
+                           (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+                           (-1e308, 1e308, 0.5)):
+        with pytest.raises(ValueError):
+            step_count(t0, t_max, tau)
+        with pytest.raises(ValueError):
+            evolve(f, t0, t_max, tau, plan, model)
     # decimal tau that only divides up to binary roundoff is accepted
     evolve(f, 0.0, 1.0, 0.1, plan, model)
 

@@ -132,3 +132,32 @@ def test_constants_validation():
         ZeroPotential(c=0.0)
     model = KleinStep(V0=1.0, L=1.0, c=137.0359895)
     assert model.c == pytest.approx(137.0359895)
+    for bad in (dict(c=np.inf), dict(m=np.nan), dict(e=np.nan), dict(e=-np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ZeroPotential(**bad)
+        with pytest.raises(ValueError, match="finite"):
+            TimeDependent1D(**bad)
+    for bad in (dict(V0=np.inf), dict(V0=np.nan), dict(L=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            KleinStep(**bad)
+
+
+def test_presets_reproduce_closed_forms_bit_for_bit():
+    """The expression presets evaluate exactly the numpy closed forms."""
+    x, y = np.meshgrid(np.linspace(-7.3, 6.1, 23), np.linspace(-5.2, 8.4, 19),
+                       indexing="ij", sparse=True)
+    for V0, L in ((100.0, 0.5), (-5.0, 0.3), (6.13e4, 1e-4)):
+        want = 0.5 * V0 * (1.0 + np.tanh(x / L))
+        np.testing.assert_array_equal(KleinStep(V0=V0, L=L).scalar(0.0, (x,)), want)
+    kappa = 4.0 * np.pi / np.sqrt(3.0)
+    thetas = {1: lambda t: np.pi,
+              2: lambda t: np.pi + np.pi * t,
+              3: lambda t: np.pi + np.pi * np.cos(np.pi * t)}
+    for case, theta in thetas.items():
+        model = Honeycomb2D(case=case)
+        for t in (0.0, 0.125, 0.37, 1.3):
+            want = np.float64(0.0)
+            for ang in theta(t) + 2.0 * np.pi / 3.0 * np.arange(3):
+                want = want + np.cos(kappa * (np.cos(ang) * x + np.sin(ang) * y))
+            np.testing.assert_array_equal(model.scalar(t, (x, y)), want)
+            assert honeycomb_theta(case, t) == theta(t)
