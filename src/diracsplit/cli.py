@@ -23,7 +23,7 @@ from . import __version__
 from .experiments import (ConvergenceSetup, convergence_study, gaussian_pair,
                           klein_initial, klein_report)
 from .fields import SpinorField, mass
-from .grids import PeriodicGrid, from_modes, mode_mesh
+from .grids import PeriodicGrid, _workers, from_modes, mode_mesh
 from .integrators import KINETIC, builtin_plan, evolve, step_count
 from .potentials import (CustomPotential, Honeycomb2D, KleinStep,
                          TimeDependent1D, ZeroPotential)
@@ -38,6 +38,10 @@ COMMUTATOR_TOLERANCE = 1e-9
 
 class ConfigError(ValueError):
     pass
+
+
+def _built(default=None):
+    return dataclasses.field(default=default, compare=False, repr=False)
 
 
 @dataclasses.dataclass
@@ -64,6 +68,14 @@ class SimulationConfig:
     conv_schemes: tuple = ("s1", "s2", "s4", "s4rk", "s4c")
     conv_taus: tuple = ()
     conv_tau_ref: float | None = None
+    # what loads_config built while checking the values above; the run
+    # uses these objects, and they take no part in comparisons
+    grid: PeriodicGrid | None = _built()
+    model: object = _built()
+    plan: object = _built()
+    conv_plans: tuple = _built(())
+    steps: int | None = _built()
+    initial: SpinorField | None = _built()
 
 
 def _parse_float(text):
@@ -160,7 +172,9 @@ def loads_config(text):
 
     Ranges and relations are checked by the library constructors the
     values feed, so each rule lives in one place; a rejection is a
-    ConfigError that names the line and key at fault.
+    ConfigError that names the line and key at fault.  The objects those
+    constructors return (grid, model, plans, step count, initial field)
+    ride along on the config for the subcommands to run.
     """
     raw = _parse_lines(text.splitlines())
     cfg = SimulationConfig()
@@ -241,24 +255,24 @@ def loads_config(text):
                                 cfg.conv_tau_ref)
     raw.finish()
 
-    grid = raw.check(("grid.a", "grid.b", "grid.M"), build_grid, cfg)
-    raw.check(("scheme",), builtin_plan, cfg.scheme)
-    for name in cfg.conv_schemes:
-        raw.check(("convergence.schemes",), builtin_plan, name)
+    cfg.grid = raw.check(("grid.a", "grid.b", "grid.M"), build_grid, cfg)
+    cfg.plan = raw.check(("scheme",), builtin_plan, cfg.scheme)
+    cfg.conv_plans = tuple(raw.check(("convergence.schemes",), builtin_plan,
+                                     name) for name in cfg.conv_schemes)
     steps = [("time.tau", cfg.tau)]
     steps += [("convergence.taus", tau) for tau in cfg.conv_taus]
     if cfg.conv_tau_ref is not None:
         steps.append(("convergence.tau_ref", cfg.conv_tau_ref))
-    for key, tau in steps:
-        raw.check((key, "time.t0", "time.t_max"), step_count,
-                  cfg.t0, cfg.t_max, tau)
+    counts = [raw.check((key, "time.t0", "time.t_max"), step_count,
+                        cfg.t0, cfg.t_max, tau) for key, tau in steps]
+    cfg.steps = counts[0]
     pkeys = tuple(f"potential.{k}" for k in params)
-    model = raw.check(("constants.c", "constants.m", "constants.e") + pkeys,
-                      build_model, cfg)
-    raw.check(("dimension",) + pkeys, model.check_dimension, cfg.dimension)
-    if cfg.initial_kind == "klein":
-        raw.check(("initial.k0", "initial.x0"), klein_initial, grid, cfg.k0,
-                  cfg.x0, cfg.c, cfg.m)
+    cfg.model = raw.check(("constants.c", "constants.m", "constants.e")
+                          + pkeys, build_model, cfg)
+    raw.check(("dimension",) + pkeys, cfg.model.check_dimension,
+              cfg.dimension)
+    cfg.initial = raw.check(("initial.k0", "initial.x0"), build_initial, cfg,
+                            cfg.grid)
     return cfg
 
 
@@ -364,12 +378,7 @@ def _json_text(payload):
 
 def cmd_run(args, stdout):
     cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    model = build_model(cfg)
-    plan = builtin_plan(cfg.scheme)
-    field = build_initial(cfg, grid)
-    n_steps = step_count(cfg.t0, cfg.t_max, cfg.tau)
-    stride = cfg.stride if cfg.stride > 0 else n_steps
+    stride = cfg.stride if cfg.stride > 0 else cfg.steps
     snapshots = []
 
     def observer(n, t, f):
@@ -380,10 +389,10 @@ def cmd_run(args, stdout):
         else:
             snapshots.append({"step": n, "t": t})
 
-    m0 = mass(field)
+    m0 = mass(cfg.initial)
     tic = time.perf_counter()
-    field = evolve(field, cfg.t0, cfg.t_max, cfg.tau, plan, model,
-                   observer=observer, stride=stride)
+    field = evolve(cfg.initial, cfg.t0, cfg.t_max, cfg.tau, cfg.plan,
+                   cfg.model, observer=observer, stride=stride)
     seconds = time.perf_counter() - tic
     m1 = mass(field)
     summary = {
@@ -394,7 +403,7 @@ def cmd_run(args, stdout):
         "tau": cfg.tau,
         "t0": cfg.t0,
         "t_max": cfg.t_max,
-        "steps": n_steps,
+        "steps": cfg.steps,
         "potential": cfg.potential_kind,
         "initial_mass": m0,
         "final_mass": m1,
@@ -412,10 +421,9 @@ def cmd_convergence(args, stdout):
         raise ConfigError("convergence.taus is required")
     if cfg.conv_tau_ref is None:
         raise ConfigError("convergence.tau_ref is required")
-    grid = build_grid(cfg)
-    setup = ConvergenceSetup(grid, build_model(cfg), build_initial(cfg, grid),
+    setup = ConvergenceSetup(cfg.grid, cfg.model, cfg.initial,
                              cfg.t_max - cfg.t0, cfg.t0)
-    reports = convergence_study(setup, list(cfg.conv_schemes),
+    reports = convergence_study(setup, list(cfg.conv_plans),
                                 list(cfg.conv_taus),
                                 tau_ref=cfg.conv_tau_ref)
     lines = ["scheme,tau,e_phi,rate_phi,e_rho,rate_rho,e_j,rate_j,seconds"]
@@ -441,12 +449,9 @@ def cmd_klein(args, stdout):
         raise ConfigError("klein needs potential.kind = klein_step")
     if cfg.initial_kind != "klein":
         raise ConfigError("klein needs initial.kind = klein")
-    grid = build_grid(cfg)
-    model = build_model(cfg)
-    field = build_initial(cfg, grid)
-    field = evolve(field, cfg.t0, cfg.t_max, cfg.tau, builtin_plan(cfg.scheme),
-                   model)
-    rep = klein_report(field, model, cfg.k0, cfg.x0)
+    field = evolve(cfg.initial, cfg.t0, cfg.t_max, cfg.tau, cfg.plan,
+                   cfg.model)
+    rep = klein_report(field, cfg.model, cfg.k0, cfg.x0)
     payload = {"k0": rep.k0, "V0": rep.V0, "L": rep.L, "E_k": rep.E_k,
                "T_ana": rep.T_ana, "T_num": rep.T_num,
                "rel_err": rep.relative_error}
@@ -473,8 +478,7 @@ def cmd_commutator_check(args, stdout):
     if args.fields < 1:
         raise ConfigError(f"--fields must be >= 1, got {args.fields}")
     cfg = load_config(args.config)
-    grid = build_grid(cfg)
-    model = build_model(cfg)
+    grid, model = cfg.grid, cfg.model
     d = cfg.dimension
     ncomps = (2, 4) if d <= 2 else (4,)
     t_eval = cfg.t0
@@ -573,6 +577,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        try:
+            _workers()
+        except ValueError as exc:
+            raise ConfigError(exc) from None
         return args.func(args, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,14 @@ time-independent models.  Physical constants ride along on the model:
 c (speed of light), m (mass), e (charge); the defaults give the
 dimensionless form of the equation, and all three must be finite.
 
-There are two implementations.  ``TimeDependent1D``, the model of the
-1D convergence ladders, is written out in numpy.  Every other model is
-a ``CustomPotential``: V and A are expressions in t, x, y, z, evaluated
-and differentiated by ``exprlang``.  ``ZeroPotential``, ``KleinStep``
-and ``Honeycomb2D`` are presets that only fix those expressions from
-their own parameters.
+Every model is a ``CustomPotential``: V and A are expressions in t, x,
+y, z, evaluated and differentiated by ``exprlang``, and the model's
+native dimension, time dependence and A = 0 flag are read off the
+same trees.  ``ZeroPotential``, ``KleinStep``, ``Honeycomb2D`` and
+``TimeDependent1D`` are presets that only fix those expressions from
+their own parameters; ``TimeDependent1D`` also evaluates its V and A
+in numpy, bit-identical to its expressions, because the 1D ladders
+step through them.
 
 A model has a native dimension (the coordinates it actually reads) but
 evaluates on any grid of equal or higher dimension.
@@ -32,19 +34,47 @@ _AXIS_NAMES = ("x", "y", "z")
 _ZERO = np.float64(0.0)
 
 
-@dataclass(frozen=True)
-class PotentialModel:
-    """Constants shared by every model.
+def _as_expr(src):
+    return exprlang.parse(src) if isinstance(src, str) else src
 
-    A model provides ``scalar(t, xs)``, ``magnetic(t, xs)`` (the
-    components [A_1 .. A_d] for d = len(xs)), ``scalar_gradient(t, xs)``
-    ([dV/dx_1 .. dV/dx_d]) and ``magnetic_gradient(t, xs)`` (dA_k/dx_j
-    as a nested list indexed [k][j]).
+
+def _derivative(expr, var):
+    """d expr / d var, or the ValueError differentiation raised.
+
+    Stepping never reads gradients, so an expression the rules cannot
+    differentiate (u^v) fails when a gradient is asked for, not at
+    construction.
+    """
+    try:
+        return exprlang.differentiate(expr, var)
+    except ValueError as exc:
+        return exc
+
+
+def _value(expr, env):
+    if isinstance(expr, ValueError):
+        raise expr
+    return np.asarray(exprlang.evaluate(expr, env), dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class CustomPotential:
+    """Potentials from expression strings in t, x, y, z.
+
+    ``scalar(t, xs)`` gives V, ``magnetic(t, xs)`` the components
+    [A_1 .. A_d] for d = len(xs), ``scalar_gradient(t, xs)``
+    [dV/dx_1 .. dV/dx_d] and ``magnetic_gradient(t, xs)`` dA_k/dx_j as
+    a nested list indexed [k][j].  Omitted magnetic components are
+    identically zero.  The gradients evaluate derivative trees taken
+    once, at construction.  The native dimension counts the magnetic
+    components and the highest axis any expression reads.
     """
 
     c: float = 1.0
     m: float = 1.0
     e: float = 1.0
+    v_expr: exprlang.Expr = "0"
+    a_exprs: tuple = ()
 
     def __post_init__(self):
         if not np.isfinite([self.c, self.m, self.e]).all():
@@ -52,11 +82,21 @@ class PotentialModel:
                              f"({self.c}, {self.m}, {self.e})")
         if self.c <= 0 or self.m < 0:
             raise ValueError("constants require c > 0 and m >= 0")
-
-    # overridden per model where they differ
-    native_dim = 1
-    time_dependent = False
-    magnetic_zero = True
+        v = _as_expr(self.v_expr)
+        a = tuple(_as_expr(ak) for ak in self.a_exprs)
+        used = exprlang.free_variables(v).union(*map(exprlang.free_variables, a))
+        axes = [k + 1 for k, name in enumerate(_AXIS_NAMES) if name in used]
+        padded = a + (exprlang.Num(0.0),) * (len(_AXIS_NAMES) - len(a))
+        object.__setattr__(self, "v_expr", v)
+        object.__setattr__(self, "a_exprs", a)
+        object.__setattr__(self, "native_dim", max([1, len(a)] + axes))
+        object.__setattr__(self, "time_dependent", "t" in used)
+        object.__setattr__(self, "magnetic_zero",
+                           all(exprlang._const(ak) == 0.0 for ak in a))
+        object.__setattr__(self, "_dv",
+                           tuple(_derivative(v, name) for name in _AXIS_NAMES))
+        object.__setattr__(self, "_da", tuple(
+            tuple(_derivative(ak, name) for name in _AXIS_NAMES) for ak in padded))
 
     def check_dimension(self, d):
         if d < self.native_dim:
@@ -65,17 +105,54 @@ class PotentialModel:
                 f"space dimensions, grid has {d}"
             )
 
+    def _env(self, t, xs):
+        env = {"t": t}
+        for k, x in enumerate(xs):
+            env[_AXIS_NAMES[k]] = x
+        return env
+
+    def scalar(self, t, xs):
+        return _value(self.v_expr, self._env(t, xs))
+
+    def magnetic(self, t, xs):
+        env = self._env(t, xs)
+        out = [_value(ak, env) for ak in self.a_exprs[:len(xs)]]
+        return out + [_ZERO] * (len(xs) - len(out))
+
+    def scalar_gradient(self, t, xs):
+        env = self._env(t, xs)
+        return [_value(d, env) for d in self._dv[:len(xs)]]
+
+    def magnetic_gradient(self, t, xs):
+        env = self._env(t, xs)
+        return [[_value(d, env) for d in row[:len(xs)]]
+                for row in self._da[:len(xs)]]
+
 
 @dataclass(frozen=True)
-class TimeDependent1D(PotentialModel):
+class ZeroPotential(CustomPotential):
+    """V = 0, A = 0 in any dimension."""
+
+    v_expr: exprlang.Expr = field(default="0", init=False)
+    a_exprs: tuple = field(default=(), init=False)
+
+
+@dataclass(frozen=True)
+class TimeDependent1D(CustomPotential):
     """Rational time-dependent pair used by the 1d convergence studies.
 
     V(t, x) = (1 - t*x) / (1 + t^2 x^2)
     A_1(t, x) = (t*x + 1)^2 / (1 + t^2 x^2)
+
+    ``scalar`` and ``magnetic`` repeat the expressions in numpy, bit for
+    bit: they are the stepping path of the 1D ladders, where walking the
+    expression trees costs 10-20% per step.
     """
 
-    time_dependent = True
-    magnetic_zero = False
+    v_expr: exprlang.Expr = field(default="(1 - t*x)/(1 + (t*x)*(t*x))",
+                                  init=False)
+    a_exprs: tuple = field(
+        default=("(t*x + 1)*(t*x + 1)/(1 + (t*x)*(t*x))",), init=False)
 
     def scalar(self, t, xs):
         x = xs[0]
@@ -86,104 +163,6 @@ class TimeDependent1D(PotentialModel):
         out = [(t * x + 1.0) ** 2 / (1.0 + (t * x) ** 2)]
         out.extend(_ZERO for _ in xs[1:])
         return out
-
-    def scalar_gradient(self, t, xs):
-        x = xs[0]
-        tx = t * x
-        dv = -t * (1.0 + 2.0 * tx - tx * tx) / (1.0 + tx * tx) ** 2
-        out = [dv]
-        out.extend(_ZERO for _ in xs[1:])
-        return out
-
-    def magnetic_gradient(self, t, xs):
-        x = xs[0]
-        tx = t * x
-        da = 2.0 * t * (tx + 1.0) * (1.0 - tx) / (1.0 + tx * tx) ** 2
-        grad = [[_ZERO for _ in xs] for _ in xs]
-        grad[0][0] = da
-        return grad
-
-
-def _as_expr(src):
-    return exprlang.parse(src) if isinstance(src, str) else src
-
-
-@dataclass(frozen=True)
-class CustomPotential(PotentialModel):
-    """Potentials from expression strings in t, x, y, z.
-
-    Gradients come from symbolic differentiation of the parsed trees.
-    Omitted magnetic components are identically zero.  The native
-    dimension counts the magnetic components and the highest axis any
-    expression reads.
-    """
-
-    v_expr: exprlang.Expr = "0"
-    a_exprs: tuple = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        v = _as_expr(self.v_expr)
-        a = tuple(_as_expr(ak) for ak in self.a_exprs)
-        used = exprlang.free_variables(v).union(*map(exprlang.free_variables, a))
-        axes = [k + 1 for k, name in enumerate(_AXIS_NAMES) if name in used]
-        object.__setattr__(self, "v_expr", v)
-        object.__setattr__(self, "a_exprs", a)
-        object.__setattr__(self, "native_dim", max([1, len(a)] + axes))
-        object.__setattr__(self, "time_dependent", "t" in used)
-        object.__setattr__(self, "magnetic_zero",
-                           all(exprlang._const(ak) == 0.0 for ak in a))
-
-    def _env(self, t, xs):
-        env = {"t": t}
-        for k, x in enumerate(xs):
-            env[_AXIS_NAMES[k]] = x
-        return env
-
-    def scalar(self, t, xs):
-        return np.asarray(exprlang.evaluate(self.v_expr, self._env(t, xs)),
-                          dtype=np.float64)
-
-    def magnetic(self, t, xs):
-        env = self._env(t, xs)
-        out = []
-        for k in range(len(xs)):
-            if k < len(self.a_exprs):
-                out.append(np.asarray(exprlang.evaluate(self.a_exprs[k], env),
-                                      dtype=np.float64))
-            else:
-                out.append(_ZERO)
-        return out
-
-    def scalar_gradient(self, t, xs):
-        env = self._env(t, xs)
-        out = []
-        for k in range(len(xs)):
-            d = exprlang.differentiate(self.v_expr, _AXIS_NAMES[k])
-            out.append(np.asarray(exprlang.evaluate(d, env), dtype=np.float64))
-        return out
-
-    def magnetic_gradient(self, t, xs):
-        env = self._env(t, xs)
-        grad = []
-        for k in range(len(xs)):
-            row = []
-            for j in range(len(xs)):
-                if k < len(self.a_exprs):
-                    d = exprlang.differentiate(self.a_exprs[k], _AXIS_NAMES[j])
-                    row.append(np.asarray(exprlang.evaluate(d, env), dtype=np.float64))
-                else:
-                    row.append(_ZERO)
-            grad.append(row)
-        return grad
-
-
-@dataclass(frozen=True)
-class ZeroPotential(CustomPotential):
-    """V = 0, A = 0 in any dimension."""
-
-    v_expr: exprlang.Expr = field(default="0", init=False)
-    a_exprs: tuple = field(default=(), init=False)
 
 
 @dataclass(frozen=True)

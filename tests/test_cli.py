@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diracsplit import PeriodicGrid, evolve, builtin_plan
+from diracsplit import PeriodicGrid, evolve, builtin_plan, exprlang
 from diracsplit.cli import (ConfigError, SimulationConfig, build_grid,
                             build_initial, build_model, dumps_config,
                             load_config, loads_config, main)
@@ -297,6 +297,40 @@ output.prefix = {prefix}
     assert payload["T_num"] < 0.05
 
 
+_KLEIN_CFG = """
+grid.a = -20
+grid.b = 20
+grid.M = 256
+time.tau = 1e-3
+time.t_max = 0.01
+constants.c = 137.0359895
+potential.kind = klein_step
+potential.V0 = 2e4
+potential.L = 1e-4
+initial.kind = klein
+"""
+
+
+@pytest.mark.parametrize("command,text,parses", [
+    ("run", "grid.M = 32\ntime.tau = 0.1\ntime.t_max = 0.2\n"
+            "potential.kind = custom\npotential.V_expr = sin(x)\n"
+            "potential.A1_expr = cos(x)/2\n", 2),
+    ("klein", _KLEIN_CFG, 1),
+], ids=["run-custom", "klein"])
+def test_subcommands_build_the_model_once(tmp_path, capsys, monkeypatch,
+                                          command, text, parses):
+    calls = []
+    parse = exprlang.parse
+
+    def counting(src):
+        calls.append(src)
+        return parse(src)
+
+    monkeypatch.setattr(exprlang, "parse", counting)
+    assert main([command, _write(tmp_path, "one.cfg", text)]) == 0
+    assert len(calls) == parses
+
+
 def test_klein_subcommand_requires_matching_config(tmp_path, capsys):
     cfgfile = _write(tmp_path, "bad.cfg", "potential.kind = zero\n")
     assert main(["klein", cfgfile]) == 2
@@ -386,6 +420,17 @@ def test_plan_subcommand(capsys):
 def test_plan_rejects_unknown_scheme(capsys):
     assert main(["plan", "s3"]) == 2
     assert "unknown scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_fails_cleanly(tmp_path, capsys, monkeypatch,
+                                        threads):
+    monkeypatch.setenv("DIRACSPLIT_THREADS", threads)
+    cfgfile = _write(tmp_path, "run.cfg", "grid.M = 16\ntime.tau = 0.5\n")
+    assert main(["run", cfgfile]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: DIRACSPLIT_THREADS")
+    assert captured.out == ""
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

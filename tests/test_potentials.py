@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diracsplit import exprlang
 from diracsplit.potentials import (
     CustomPotential,
     Honeycomb2D,
@@ -61,7 +62,8 @@ def test_honeycomb_drive_periodicity(case, period):
 
 
 _MODELS_1D = [TimeDependent1D(), KleinStep(V0=7.0, L=0.3), ZeroPotential(),
-              CustomPotential(v_expr="sin(x)*cos(t)", a_exprs=("tanh(x*t)",))]
+              CustomPotential(v_expr="sin(x)*cos(t)", a_exprs=("tanh(x*t)",)),
+              TimeDependent1D(e=0.7, c=137.0359895)]
 _MODELS_2D = [Honeycomb2D(case=2),
               CustomPotential(v_expr="cos(x)*sin(y)",
                               a_exprs=("sin(x+y)", "x*y/(1+t^2)"))]
@@ -90,6 +92,26 @@ def test_gradients_match_finite_differences(model):
             for k in range(d):
                 fd_a = (au[k] - ad[k]) / (2.0 * h)
                 assert abs(fd_a - float(np.asarray(da[k][j]))) <= 1e-7 * max(1.0, abs(fd_a))
+
+
+def test_gradients_never_differentiate_after_construction(monkeypatch):
+    def refuse(expr, var):
+        raise AssertionError("differentiate called after construction")
+
+    monkeypatch.setattr(exprlang, "differentiate", refuse)
+    xs = [np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 3.0, 7)]
+    for model in _MODELS_1D + _MODELS_2D:
+        for d in range(model.native_dim, 3):
+            assert len(model.scalar_gradient(0.37, xs[:d])) == d
+            assert len(model.magnetic_gradient(0.37, xs[:d])) == d
+
+
+def test_undifferentiable_expression_fails_only_at_gradient():
+    # stepping reads no gradient, so u^v is still a usable potential
+    model = CustomPotential(v_expr="(1 + x*x)^(1/2)")
+    assert float(model.scalar(0.0, (np.asarray(0.0),))) == 1.0
+    with pytest.raises(ValueError, match="differentiate"):
+        model.scalar_gradient(0.0, (np.asarray(0.0),))
 
 
 def test_custom_matches_builtin_time_dependent_1d():
@@ -146,6 +168,16 @@ def test_presets_reproduce_closed_forms_bit_for_bit():
     """The expression presets evaluate exactly the numpy closed forms."""
     x, y = np.meshgrid(np.linspace(-7.3, 6.1, 23), np.linspace(-5.2, 8.4, 19),
                        indexing="ij", sparse=True)
+    # TimeDependent1D keeps numpy V and A next to its expressions
+    for model in (TimeDependent1D(), TimeDependent1D(e=0.7, c=137.0359895)):
+        for xs in ((x[:, 0],), (x, y)):
+            for t in (0.0, 0.37, 1.3):
+                np.testing.assert_array_equal(
+                    model.scalar(t, xs), CustomPotential.scalar(model, t, xs))
+                for fast, tree in zip(model.magnetic(t, xs),
+                                      CustomPotential.magnetic(model, t, xs),
+                                      strict=True):
+                    np.testing.assert_array_equal(fast, tree)
     for V0, L in ((100.0, 0.5), (-5.0, 0.3), (6.13e4, 1e-4)):
         want = 0.5 * V0 * (1.0 + np.tanh(x / L))
         np.testing.assert_array_equal(KleinStep(V0=V0, L=L).scalar(0.0, (x,)), want)
