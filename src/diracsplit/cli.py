@@ -342,11 +342,8 @@ def build_model(cfg):
         return Honeycomb2D(case=p["case"], **consts)
     top = max((int(k[1]) for k in p if k.startswith("A")), default=0)
     a_exprs = [p.get(f"A{k}_expr", "0") for k in range(1, top + 1)]
-    try:
-        return CustomPotential(v_expr=p.get("V_expr", "0"),
-                               a_exprs=tuple(a_exprs), **consts)
-    except ValueError as exc:
-        raise ConfigError(f"potential expression: {exc}")
+    return CustomPotential(v_expr=p.get("V_expr", "0"),
+                           a_exprs=tuple(a_exprs), **consts)
 
 
 def build_initial(cfg, grid):
@@ -491,7 +488,10 @@ def cmd_commutator_check(args, stdout):
     rows = []
     failed = False
     for ncomp in ncomps:
-        coeffs = commutator_coefficients(model, t_eval, grid, ncomp)
+        try:
+            coeffs = commutator_coefficients(model, t_eval, grid, ncomp)
+        except ValueError as exc:  # a gradient the rules cannot take
+            raise ConfigError(f"{args.config}: {exc}") from None
         rng = np.random.default_rng(1000 + 10 * d + ncomp)
         worst = 0.0
         for _ in range(args.fields):

@@ -2,13 +2,17 @@
 
 Grammar (tightest first): ``^`` (right associative), unary minus,
 ``* /``, ``+ -``; variables ``t x y z``; functions sin cos tan tanh exp
-sqrt.  Expressions parse to an immutable tree that can be evaluated on
-scalars or numpy arrays, differentiated symbolically, and printed back
-to a string that re-parses to the identical tree.
+sqrt.  Expressions parse to an immutable tree that can be
+differentiated symbolically and printed back to a string that
+re-parses to the identical tree.  ``compile_expr`` turns a tree once
+into a flat numpy function of t, x, y, z (repeated subtrees computed
+once, every operation the tree's own), which evaluates on scalars or
+numpy arrays; ``evaluate`` compiles and calls in one go.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,50 +191,77 @@ def parse(text):
     return _Parser(text).parse()
 
 
-# --- evaluation ------------------------------------------------------------
+# --- compilation -----------------------------------------------------------
 
-_FN_TABLE = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "tanh": np.tanh, "exp": np.exp, "sqrt": np.sqrt,
-}
+_OP_TEMPLATES = {"+": "({} + {})", "-": "({} - {})", "*": "({} * {})",
+                 "/": "_np.divide({}, {})", "^": "_np.power({}, {})"}
 
 
-def _eval(node, env):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise ExprEvalError(f"variable {node.name!r} not bound") from None
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Call):
-        return _FN_TABLE[node.fn](_eval(node.arg, env))
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return np.divide(left, right)
-    return np.power(left, right)
+def compile_expr(expr):
+    """Compile a tree once into a function ``f(t=None, x=None, y=None, z=None)``.
+
+    The tree becomes the source of one Python function.  A subtree that
+    occurs more than once is computed once into a local; every other
+    subtree is inlined, so its temporary is freed as soon as it is used.
+    Each node keeps its numpy operation (``+ - *``, ``np.divide``,
+    ``np.power``, the numpy functions of the same names), so values are
+    the same bits as evaluating the tree node by node.  Constants are
+    bound by name, never printed into the source, and a node the parser
+    cannot produce raises ValueError.  ``f`` raises ExprEvalError when a
+    variable the tree reads is not passed or the result has a non-finite
+    value.
+    """
+    env = {"_np": np, "ExprEvalError": ExprEvalError}
+    consts, index = {}, {}   # index: (template, child ids) -> node id
+
+    def intern(node):
+        if isinstance(node, Num) and isinstance(node.value, (int, float)):
+            # keyed by repr so that 0.0 and -0.0 stay two constants
+            key, kids = consts.setdefault((type(node.value), repr(node.value)),
+                                          f"_c{len(consts)}"), ()
+            env[key] = node.value
+        elif isinstance(node, Var) and node.name in VARIABLES:
+            key, kids = node.name, ()
+        elif isinstance(node, Neg):
+            key, kids = "(-{})", (node.arg,)
+        elif isinstance(node, Call) and node.fn in FUNCTIONS:
+            key, kids = f"_np.{node.fn}({{}})", (node.arg,)
+        elif isinstance(node, BinOp) and node.op in _OP_TEMPLATES:
+            key, kids = _OP_TEMPLATES[node.op], (node.left, node.right)
+        else:
+            raise ValueError(f"not an expression node: {node!r}")
+        return index.setdefault((key, tuple(map(intern, kids))), len(index))
+
+    intern(expr)
+    uses = Counter(k for _, kids in index for k in kids)
+    body, texts = [], []
+    for i, (template, kids) in enumerate(index):  # children come first
+        text = template.format(*(texts[k] for k in kids))
+        # Python's parser caps nesting at 200 parentheses
+        if kids and (uses[i] > 1 or text.count("(") > 100):
+            body.append(f"        _v{i} = {text}")
+            text = f"_v{i}"
+        texts.append(text)
+    source = "\n".join(
+        ["def _f(t=None, x=None, y=None, z=None):"]
+        + [f"    if {n} is None: raise ExprEvalError(\"variable '{n}' not bound\")"
+           for n in VARIABLES if (n, ()) in index]
+        + ["    with _np.errstate(all='ignore'):", *body,
+           f"        _out = {texts[-1]}",
+           "    if not _np.isfinite(_out).all():",
+           "        raise ExprEvalError('expression produced a non-finite value')",
+           "    return _out"])
+    exec(compile(source, "<exprlang>", "exec"), env)
+    return env["_f"]
 
 
 def evaluate(expr, env):
     """Evaluate with variables bound to scalars or numpy arrays.
 
-    Any non-finite value in the result (division by zero, domain faults)
-    raises ExprEvalError.
+    Compiles the tree and calls it once; any non-finite value in the
+    result (division by zero, domain faults) raises ExprEvalError.
     """
-    with np.errstate(all="ignore"):
-        out = _eval(expr, env)
-    if not np.all(np.isfinite(out)):
-        raise ExprEvalError("expression produced a non-finite value")
-    return out
+    return compile_expr(expr)(*(env.get(name) for name in VARIABLES))
 
 
 def free_variables(expr):
@@ -255,6 +286,12 @@ def _const(node):
         inner = _const(node.arg)
         return None if inner is None else -inner
     return None
+
+
+def _fold(node):
+    """Value of a node that reads no variable, such as 1/2; else None."""
+    const = _const(node)
+    return const if const is not None or free_variables(node) else float(evaluate(node, {}))
 
 
 def _num(value):
@@ -354,19 +391,17 @@ def differentiate(expr, var):
         return _add(_mul(da, b), _mul(a, db))
     if expr.op == "/":
         return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, Num(2.0)))
-    # power: constant exponent uses the monomial rule, else exp/log form
-    cb = _const(b)
+    # power: a variable-free exponent uses the monomial rule, else exp/log form
+    cb = _fold(b)
     if cb is not None:
         return _mul(_mul(_num(cb), _pow(a, _num(cb - 1.0))), da)
-    if _const(da) == 0.0 and _const(a) is not None:
-        # c^v with constant c: c^v * ln(c) * v'
-        ca = _const(a)
-        if ca is None or ca <= 0:
-            raise ValueError("cannot differentiate power with non-positive constant base")
+    ca = _fold(a)
+    if ca is not None and ca > 0:
+        # c^v with constant c > 0: c^v * ln(c) * v'
         return _mul(_mul(expr, _num(float(np.log(ca)))), db)
-    # u^v = exp(v ln u); d = u^v (v' ln u + v u'/u); no ln in the grammar,
-    # so keep the pieces the grammar can express
-    raise ValueError("cannot differentiate u^v with both sides non-constant")
+    # u^v = exp(v ln u) and c^v with c <= 0: no ln in the grammar
+    raise ValueError("cannot differentiate a power whose exponent reads a "
+                     "variable unless its base is a positive constant")
 
 
 # --- printing --------------------------------------------------------------

@@ -10,13 +10,14 @@ c (speed of light), m (mass), e (charge); the defaults give the
 dimensionless form of the equation, and all three must be finite.
 
 Every model is a ``CustomPotential``: V and A are expressions in t, x,
-y, z, evaluated and differentiated by ``exprlang``, and the model's
-native dimension, time dependence and A = 0 flag are read off the
-same trees.  ``ZeroPotential``, ``KleinStep``, ``Honeycomb2D`` and
+y, z, differentiated by ``exprlang``, and the model's native
+dimension, time dependence and A = 0 flag are read off the same trees.
+Construction compiles V, each A_k and every derivative tree once with
+``exprlang.compile_expr``; evaluation only calls those programs.
+``ZeroPotential``, ``KleinStep``, ``Honeycomb2D`` and
 ``TimeDependent1D`` are presets that only fix those expressions from
-their own parameters; ``TimeDependent1D`` also evaluates its V and A
-in numpy, bit-identical to its expressions, because the 1D ladders
-step through them.
+their own parameters, and compare and hash as the expressions they
+build.
 
 A model has a native dimension (the coordinates it actually reads) but
 evaluates on any grid of equal or higher dimension.
@@ -31,7 +32,6 @@ import numpy as np
 from . import exprlang
 
 _AXIS_NAMES = ("x", "y", "z")
-_ZERO = np.float64(0.0)
 
 
 def _as_expr(src):
@@ -39,22 +39,22 @@ def _as_expr(src):
 
 
 def _derivative(expr, var):
-    """d expr / d var, or the ValueError differentiation raised.
+    """Compiled d expr / d var, or the ValueError differentiation raised.
 
     Stepping never reads gradients, so an expression the rules cannot
     differentiate (u^v) fails when a gradient is asked for, not at
     construction.
     """
     try:
-        return exprlang.differentiate(expr, var)
+        return exprlang.compile_expr(exprlang.differentiate(expr, var))
     except ValueError as exc:
         return exc
 
 
-def _value(expr, env):
-    if isinstance(expr, ValueError):
-        raise expr
-    return np.asarray(exprlang.evaluate(expr, env), dtype=np.float64)
+def _value(program, t, xs):
+    if isinstance(program, ValueError):
+        raise program
+    return np.asarray(program(t, *xs), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,11 @@ class CustomPotential:
     [A_1 .. A_d] for d = len(xs), ``scalar_gradient(t, xs)``
     [dV/dx_1 .. dV/dx_d] and ``magnetic_gradient(t, xs)`` dA_k/dx_j as
     a nested list indexed [k][j].  Omitted magnetic components are
-    identically zero.  The gradients evaluate derivative trees taken
-    once, at construction.  The native dimension counts the magnetic
-    components and the highest axis any expression reads.
+    identically zero.  Every method calls programs compiled once, at
+    construction, from the expressions and their derivative trees; a
+    non-finite value raises ``exprlang.ExprEvalError``.  The native
+    dimension counts the magnetic components and the highest axis any
+    expression reads.
     """
 
     c: float = 1.0
@@ -93,10 +95,18 @@ class CustomPotential:
         object.__setattr__(self, "time_dependent", "t" in used)
         object.__setattr__(self, "magnetic_zero",
                            all(exprlang._const(ak) == 0.0 for ak in a))
+        object.__setattr__(self, "_v", exprlang.compile_expr(v))
+        object.__setattr__(self, "_a", tuple(map(exprlang.compile_expr, padded)))
         object.__setattr__(self, "_dv",
                            tuple(_derivative(v, name) for name in _AXIS_NAMES))
         object.__setattr__(self, "_da", tuple(
             tuple(_derivative(ak, name) for name in _AXIS_NAMES) for ak in padded))
+        object.__setattr__(self, "_hash", hash((self.c, self.m, self.e, v, a)))
+
+    def __hash__(self):
+        # taken once: hashing the trees costs microseconds, and the
+        # propagators' caches hash the model on every factor
+        return self._hash
 
     def check_dimension(self, d):
         if d < self.native_dim:
@@ -105,31 +115,26 @@ class CustomPotential:
                 f"space dimensions, grid has {d}"
             )
 
-    def _env(self, t, xs):
-        env = {"t": t}
-        for k, x in enumerate(xs):
-            env[_AXIS_NAMES[k]] = x
-        return env
-
     def scalar(self, t, xs):
-        return _value(self.v_expr, self._env(t, xs))
+        return _value(self._v, t, xs)
 
     def magnetic(self, t, xs):
-        env = self._env(t, xs)
-        out = [_value(ak, env) for ak in self.a_exprs[:len(xs)]]
-        return out + [_ZERO] * (len(xs) - len(out))
+        return [_value(ak, t, xs) for ak in self._a[:len(xs)]]
 
     def scalar_gradient(self, t, xs):
-        env = self._env(t, xs)
-        return [_value(d, env) for d in self._dv[:len(xs)]]
+        return [_value(d, t, xs) for d in self._dv[:len(xs)]]
 
     def magnetic_gradient(self, t, xs):
-        env = self._env(t, xs)
-        return [[_value(d, env) for d in row[:len(xs)]]
+        return [[_value(d, t, xs) for d in row[:len(xs)]]
                 for row in self._da[:len(xs)]]
 
 
-@dataclass(frozen=True)
+# Presets are eq=False so that they keep CustomPotential's __eq__ (same
+# class, constants and expressions; their parameters fix the expressions)
+# and its hash taken once, where the dataclass would generate a __hash__
+# that walks the trees on every call.
+
+@dataclass(frozen=True, eq=False)
 class ZeroPotential(CustomPotential):
     """V = 0, A = 0 in any dimension."""
 
@@ -137,16 +142,12 @@ class ZeroPotential(CustomPotential):
     a_exprs: tuple = field(default=(), init=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeDependent1D(CustomPotential):
     """Rational time-dependent pair used by the 1d convergence studies.
 
     V(t, x) = (1 - t*x) / (1 + t^2 x^2)
     A_1(t, x) = (t*x + 1)^2 / (1 + t^2 x^2)
-
-    ``scalar`` and ``magnetic`` repeat the expressions in numpy, bit for
-    bit: they are the stepping path of the 1D ladders, where walking the
-    expression trees costs 10-20% per step.
     """
 
     v_expr: exprlang.Expr = field(default="(1 - t*x)/(1 + (t*x)*(t*x))",
@@ -154,18 +155,8 @@ class TimeDependent1D(CustomPotential):
     a_exprs: tuple = field(
         default=("(t*x + 1)*(t*x + 1)/(1 + (t*x)*(t*x))",), init=False)
 
-    def scalar(self, t, xs):
-        x = xs[0]
-        return (1.0 - t * x) / (1.0 + (t * x) ** 2)
 
-    def magnetic(self, t, xs):
-        x = xs[0]
-        out = [(t * x + 1.0) ** 2 / (1.0 + (t * x) ** 2)]
-        out.extend(_ZERO for _ in xs[1:])
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KleinStep(CustomPotential):
     """Static smoothed potential step V(x) = V0/2 (1 + tanh(x/L)), A = 0."""
 
@@ -201,7 +192,7 @@ def honeycomb_theta(case, t):
     return exprlang.evaluate(exprlang.parse(_theta_source(case)), {"t": t})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Honeycomb2D(CustomPotential):
     """Superposition of three plane cosines at 120-degree spacing.
 
@@ -234,6 +225,4 @@ def evaluate(model, t, point):
     """Point evaluation: (V, [A_1 .. A_d]) at time t and position tuple."""
     xs = [np.asarray(float(v)) for v in point]
     model.check_dimension(len(xs))
-    v = float(np.asarray(model.scalar(t, xs)))
-    a = [float(np.asarray(ak)) for ak in model.magnetic(t, xs)]
-    return v, a
+    return float(model.scalar(t, xs)), [float(ak) for ak in model.magnetic(t, xs)]

@@ -67,7 +67,8 @@ def test_axis_broadcast():
     ("initial.kind = klein\ncomponents = 4\n", "klein"),
     ("scheme = s2\nscheme = s4\n", "duplicate"),
     ("just a line\n", "key = value"),
-    ("potential.kind = custom\npotential.V_expr = sin(q)\n", "expression"),
+    ("potential.kind = custom\npotential.V_expr = sin(q)\n",
+     "line 2: potential.V_expr: unknown name"),
     ("potential.kind = honeycomb\ndimension = 2\npotential.case = 5\n",
      "case"),
     ("convergence.taus = -0.25\n", "positive"),
@@ -391,6 +392,23 @@ def test_commutator_check_3d_magnetic(tmp_path, capsys):
     assert main(["commutator-check", cfgfile, "--fields", "2"]) == 0
     out = capsys.readouterr().out
     assert "3d/4comp" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("exponent,code", [("1/2", 0), ("x", 2)])
+def test_commutator_check_power_with_expression_exponent(tmp_path, capsys,
+                                                         exponent, code):
+    # a variable-free exponent differentiates; a variable one is a clean error
+    cfgfile = _write(tmp_path, "chk.cfg",
+                     "grid.a = -4\ngrid.b = 4\ngrid.M = 32\n"
+                     "potential.kind = custom\n"
+                     f"potential.V_expr = (1 + x*x)^({exponent})\n"
+                     "potential.A1_expr = tanh(x)\n")
+    assert main(["commutator-check", cfgfile, "--fields", "2"]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "1d/2comp" in captured.out and "FAIL" not in captured.out
+    else:
+        assert captured.err.startswith("error: ") and "differentiate" in captured.err
 
 
 @pytest.mark.parametrize("fields", ["0", "-3"])

@@ -11,6 +11,7 @@ from diracsplit.exprlang import (
     Neg,
     Num,
     Var,
+    compile_expr,
     differentiate,
     evaluate,
     free_variables,
@@ -68,6 +69,33 @@ def test_eval_errors():
         ev("1/x", x=np.array([1.0, 0.0]))  # any non-finite entry
 
 
+def test_compile_rejects_nodes_the_parser_cannot_make():
+    for node in (Var("os"), Call("eval", Var("x")), BinOp("**", Var("x"), Num(2.0)),
+                 BinOp("+", Num("__import__('os')"), Num(1.0))):
+        with pytest.raises(ValueError, match="not an expression node"):
+            compile_expr(node)
+    # constants are bound, never printed: 1e999 is inf, not a name error
+    with pytest.raises(ExprEvalError, match="non-finite"):
+        compile_expr(parse("1e999 - x"))(x=1.0)
+
+
+def test_compiled_program_computes_a_repeated_subtree_once(monkeypatch):
+    calls = []
+    sin = np.sin
+
+    def counting_sin(arg):
+        calls.append(arg)
+        return sin(arg)
+
+    monkeypatch.setattr(np, "sin", counting_sin)
+    f = compile_expr(parse("sin(x) + sin(x)*cos(sin(x))"))
+    x = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_array_equal(f(x=x), sin(x) + sin(x) * np.cos(sin(x)))
+    assert len(calls) == 1
+    f(x=x)
+    assert len(calls) == 2
+
+
 def test_free_variables():
     assert free_variables(parse("x*t + sin(y)")) == {"x", "t", "y"}
     assert free_variables(parse("3.5")) == set()
@@ -79,6 +107,21 @@ def test_differentiate_folds_constants():
     assert differentiate(parse("sin(3)"), "x") == Num(0.0)
     d = differentiate(parse("x^3"), "x")
     assert d == BinOp("*", Num(3.0), BinOp("^", Var("x"), Num(2.0)))
+
+
+@pytest.mark.parametrize("src", ["(1 + x*x)^(1/2)", "(1/2)^x"])
+def test_variable_free_power_side_is_a_constant(src):
+    d = differentiate(parse(src), "x")
+    for x in (-1.7, 0.0, 0.3, 2.5):
+        h = 1e-5
+        fd = (ev(src, x=x + h) - ev(src, x=x - h)) / (2 * h)
+        assert evaluate(d, {"x": x}) == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+
+def test_power_the_rules_cannot_differentiate_is_refused():
+    for src in ("(1 + x*x)^x", "(0 - 2)^x"):
+        with pytest.raises(ValueError, match="differentiate"):
+            differentiate(parse(src), "x")
 
 
 def _random_expr(rng, depth, safe):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diracsplit import exprlang
+from diracsplit.experiments import gaussian_pair
+from diracsplit.grids import PeriodicGrid
 from diracsplit.potentials import (
     CustomPotential,
     Honeycomb2D,
@@ -13,6 +15,7 @@ from diracsplit.potentials import (
     evaluate,
     honeycomb_theta,
 )
+from diracsplit.propagators import potential_step
 
 
 def test_time_dependent_1d_values():
@@ -108,7 +111,7 @@ def test_gradients_never_differentiate_after_construction(monkeypatch):
 
 def test_undifferentiable_expression_fails_only_at_gradient():
     # stepping reads no gradient, so u^v is still a usable potential
-    model = CustomPotential(v_expr="(1 + x*x)^(1/2)")
+    model = CustomPotential(v_expr="(1 + x*x)^x")
     assert float(model.scalar(0.0, (np.asarray(0.0),))) == 1.0
     with pytest.raises(ValueError, match="differentiate"):
         model.scalar_gradient(0.0, (np.asarray(0.0),))
@@ -168,16 +171,15 @@ def test_presets_reproduce_closed_forms_bit_for_bit():
     """The expression presets evaluate exactly the numpy closed forms."""
     x, y = np.meshgrid(np.linspace(-7.3, 6.1, 23), np.linspace(-5.2, 8.4, 19),
                        indexing="ij", sparse=True)
-    # TimeDependent1D keeps numpy V and A next to its expressions
     for model in (TimeDependent1D(), TimeDependent1D(e=0.7, c=137.0359895)):
         for xs in ((x[:, 0],), (x, y)):
             for t in (0.0, 0.37, 1.3):
+                tx = t * xs[0]
                 np.testing.assert_array_equal(
-                    model.scalar(t, xs), CustomPotential.scalar(model, t, xs))
-                for fast, tree in zip(model.magnetic(t, xs),
-                                      CustomPotential.magnetic(model, t, xs),
-                                      strict=True):
-                    np.testing.assert_array_equal(fast, tree)
+                    model.scalar(t, xs), (1.0 - tx) / (1.0 + tx ** 2))
+                want = [(tx + 1.0) ** 2 / (1.0 + tx ** 2)] + [0.0] * (len(xs) - 1)
+                for got, ak in zip(model.magnetic(t, xs), want, strict=True):
+                    np.testing.assert_array_equal(got, ak)
     for V0, L in ((100.0, 0.5), (-5.0, 0.3), (6.13e4, 1e-4)):
         want = 0.5 * V0 * (1.0 + np.tanh(x / L))
         np.testing.assert_array_equal(KleinStep(V0=V0, L=L).scalar(0.0, (x,)), want)
@@ -193,3 +195,27 @@ def test_presets_reproduce_closed_forms_bit_for_bit():
                 want = want + np.cos(kappa * (np.cos(ang) * x + np.sin(ang) * y))
             np.testing.assert_array_equal(model.scalar(t, (x, y)), want)
             assert honeycomb_theta(case, t) == theta(t)
+
+
+def test_time_dependent_1d_overflow_is_a_typed_error():
+    # (t*x)^2 overflows at t = 1e200 and A_1 = inf/inf: no NaN may reach
+    # a stepping factor
+    with pytest.raises(exprlang.ExprEvalError):
+        TimeDependent1D().magnetic(1e200, (np.array([1.0]),))
+
+
+def test_model_hash_is_taken_once(monkeypatch):
+    models = [Honeycomb2D(case=1), KleinStep(V0=7.0, L=0.3), TimeDependent1D(),
+              CustomPotential(v_expr="x*x + 1")]
+    want = [hash(m) for m in models]
+
+    def refuse(self):
+        raise AssertionError("expression tree hashed after construction")
+
+    monkeypatch.setattr(exprlang.BinOp, "__hash__", refuse)
+    assert [hash(m) for m in models] == want
+    grid = PeriodicGrid.box([(-4.0, 4.0, 16)] * 2)
+    field = gaussian_pair(grid, 2)
+    for model in (models[0], models[3]):
+        for _ in range(2):  # a cache miss, then a hit
+            potential_step(field, 0.0, 0.1, model)
